@@ -103,7 +103,6 @@ struct CliOptions {
   bool UseCache = true;
   bool Volta = false;
   bool Quick = false;
-  bool FullStats = false;
   /// Simulator watchdog window in cycles (0 = off): abandon a candidate
   /// simulation as deadlocked when the scheduler makes no progress for
   /// this long, instead of burning the full cycle limit.
@@ -184,7 +183,11 @@ void printUsage() {
       "                   the most promising candidate, then abandon\n"
       "                   any candidate the moment its cycles provably\n"
       "                   exceed it — bit-identical Best, far fewer\n"
-      "                   simulated instructions; incumbent-tight:\n"
+      "                   simulated instructions; the next candidates\n"
+      "                   start alongside the seed, each stepping only\n"
+      "                   as far as the seed has provably run;\n"
+      "                   every candidate is profiled once, with full\n"
+      "                   nvprof-style stats; incumbent-tight:\n"
       "                   additionally shrink the budget as better\n"
       "                   candidates land (shared atomic minimum) and\n"
       "                   re-issue the ledger under the final incumbent\n"
@@ -211,9 +214,6 @@ void printUsage() {
       "                   in-memory (exit code 6, results still correct)\n"
       "  --volta          search for the V100 instead of the GTX 1080 Ti\n"
       "  --quick          small workloads (smoke-test scale)\n"
-      "  --full-stats     profile every candidate with full nvprof-style\n"
-      "                   stats (default: timing-only sweep, full stats\n"
-      "                   for the winner; cycle counts are identical)\n"
       "\n"
       "observability (zero overhead unless requested; never affects\n"
       "results — cycles and Best are bit-identical with it on or off):\n"
@@ -509,8 +509,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.Volta = true;
     } else if (Arg == "--quick") {
       Opts.Quick = true;
-    } else if (Arg == "--full-stats") {
-      Opts.FullStats = true;
     } else if (Arg == "--vertical") {
       Opts.Vertical = true;
     } else if (Arg == "--full-barriers") {
@@ -671,8 +669,6 @@ int searchOnePair(const CliOptions &Opts, kernels::BenchKernelId IdA,
   RO.BudgetMarginPct = Opts.BudgetMarginPct;
   RO.MeasuredBound = Opts.MeasuredBound;
   RO.UseCompileCache = Opts.UseCache;
-  RO.SearchStats = Opts.FullStats ? gpusim::StatsLevel::Full
-                                  : gpusim::StatsLevel::Minimal;
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;
@@ -906,8 +902,6 @@ int searchNWay(const CliOptions &Opts,
   RO.BudgetMarginPct = Opts.BudgetMarginPct;
   RO.MeasuredBound = Opts.MeasuredBound;
   RO.UseCompileCache = Opts.UseCache;
-  RO.SearchStats = Opts.FullStats ? gpusim::StatsLevel::Full
-                                  : gpusim::StatsLevel::Minimal;
   RO.WatchdogCycles = Opts.WatchdogCycles;
   RO.WallTimeoutMs = Opts.TimeoutMs;
   RO.Cache = Cache;

@@ -27,10 +27,11 @@
 //    memory live in per-SM arenas; warp and block slots are recycled on
 //    retire, so steady-state dispatch allocates nothing.
 //
-//  - StatsLevel::Minimal compiles the profiling bookkeeping out of the
-//    issue path (stall-reason sampling, occupancy integration,
-//    per-launch traffic accounting) for search sweeps that only need
-//    completion cycles.
+//  - Full-stats sampling costs O(1) per loop iteration: blocked-warp
+//    counts per stall reason, resident warps and busy schedulers are
+//    kept as run-wide totals, updated where warps block, wake, arrive
+//    and leave. StatsLevel::Minimal compiles even that out of the issue
+//    path for ranking probes that only need completion cycles.
 //
 // Scheduling decisions replicate the historical scan-based core
 // bit-exactly — round-robin order is expressed over virtual append
@@ -43,7 +44,9 @@
 // the moment some kernel is still live at the budget cycle, with idle
 // fast-forward clamped to the budget so the abort point — and the
 // issued-instruction count reported with it — is deterministic. Runs
-// that finish within the budget are untouched, bit for bit.
+// that finish within the budget are untouched, bit for bit. A
+// CycleGate (Simulator.h) lets a run start before its budget is known,
+// blocking instead of stepping past what the incumbent seed has proven.
 //
 //===----------------------------------------------------------------------===//
 
@@ -185,9 +188,6 @@ struct SchedState {
   uint64_t ReadyMask = 0;
   /// Earliest WakeAt among blocked entries (exact, recomputed on wake).
   uint64_t NextWake = UINT64_MAX;
-  /// Blocked warps per stall reason; lets Full-stats sampling charge
-  /// every blocked warp each cycle without touching it.
-  uint32_t BlockedCounts[NumStalls] = {};
 };
 
 struct SMState {
@@ -213,7 +213,6 @@ struct SMState {
   int UsedRegs = 0;
   uint32_t UsedShared = 0;
   int NumBlocks = 0;
-  int ActiveWarps = 0;
 };
 
 struct LaunchState {
@@ -282,9 +281,30 @@ struct Simulator::Impl {
   bool CancelOn = false;
   uint64_t CancelIters = 0;
   bool StatsFull = true;
+  /// Gate of the current run (null = none), whether this run is its
+  /// seed, whether a follower still waits for the gate to resolve, the
+  /// last floor it saw, and the seed's publishing cadence counter.
+  CycleGate *Gate = nullptr;
+  bool GateSeed = false;
+  bool Awaiting = false;
+  uint64_t GateFloor = 0;
+  uint64_t GateIters = 0;
   std::string Error;
   // Stats.
   uint64_t IssuedSlots = 0;
+  // Full-stats occupancy, kept run-wide so sampling is O(1) per loop
+  // iteration: warps blocked per stall reason, resident warps, and
+  // schedulers with resident warps. An iteration samples each
+  // scheduler after its popDue and before its issue pass; Iter* start
+  // as the run-wide totals and take only the changes that land on
+  // schedulers not yet sampled (index >= SampledScheds on the SM being
+  // visited — no other SM's state changes mid-visit).
+  uint64_t BlockedTotal[NumStalls] = {};
+  uint64_t IterBlocked[NumStalls] = {};
+  uint64_t ResidentWarps = 0;
+  uint64_t BusyScheds = 0;
+  uint64_t IterBusy = 0;
+  unsigned SampledScheds = 0;
   uint64_t StallSamples[NumStalls] = {};
   uint64_t ActiveWarpIntegral = 0;
   uint64_t ActiveCycleSlots = 0; // scheduler-cycles with resident warps
@@ -534,8 +554,8 @@ struct Simulator::Impl {
     S.ReadyMask &= ~(uint64_t(1) << Idx);
     W.WakeAt = WakeAt;
     W.CachedReason = Reason;
-    if (StatsFull)
-      ++S.BlockedCounts[size_t(Reason)];
+    if (StatsFull) // only the scheduler being visited, already sampled
+      ++BlockedTotal[size_t(Reason)];
     if (WakeAt < S.NextWake)
       S.NextWake = WakeAt;
   }
@@ -553,8 +573,10 @@ struct Simulator::Impl {
       WarpState &W = SM.Warps[S.Live[I].WarpSlot];
       if (W.WakeAt <= Cycle) {
         S.ReadyMask |= uint64_t(1) << I;
-        if (StatsFull)
-          --S.BlockedCounts[size_t(W.CachedReason)];
+        if (StatsFull) { // runs just before its scheduler is sampled
+          --BlockedTotal[size_t(W.CachedReason)];
+          --IterBlocked[size_t(W.CachedReason)];
+        }
       } else if (W.WakeAt < NewNext) {
         NewNext = W.WakeAt;
       }
@@ -585,8 +607,11 @@ struct Simulator::Impl {
         continue;
       if (!(S.ReadyMask & (uint64_t(1) << I))) {
         S.ReadyMask |= uint64_t(1) << I;
-        if (StatsFull)
-          --S.BlockedCounts[size_t(W.CachedReason)];
+        if (StatsFull) {
+          --BlockedTotal[size_t(W.CachedReason)];
+          if (W.SchedIdx >= SampledScheds)
+            --IterBlocked[size_t(W.CachedReason)];
+        }
         if (W.WakeAt != UINT64_MAX) {
           W.invalidateSchedCache();
           recomputeNextWake(SM, S); // its wake may have been NextWake
@@ -598,6 +623,14 @@ struct Simulator::Impl {
     W.invalidateSchedCache();
   }
 
+  /// A scheduler of the SM being visited gained (+1) or lost (-1) its
+  /// last resident warp.
+  void noteBusy(unsigned SchedIdx, int Step) {
+    BusyScheds += Step;
+    if (SchedIdx >= SampledScheds)
+      IterBusy += Step;
+  }
+
   /// Removes \p Slot's (Done) warp from its scheduler's live list.
   void dropWarp(SMState &SM, uint32_t Slot) {
     WarpState &W = SM.Warps[Slot];
@@ -607,6 +640,8 @@ struct Simulator::Impl {
         continue;
       S.Live.erase(S.Live.begin() + static_cast<long>(I));
       S.ReadyMask = eraseMaskBit(S.ReadyMask, static_cast<unsigned>(I));
+      if (S.Live.empty())
+        noteBusy(W.SchedIdx, -1);
       return;
     }
   }
@@ -775,9 +810,11 @@ struct Simulator::Impl {
           static_cast<unsigned>(SM.WarpSeq++ % SM.Scheds.size());
       W.SchedIdx = static_cast<uint8_t>(SchedIdx);
       SchedState &S = SM.Scheds[SchedIdx];
+      if (S.Live.empty())
+        noteBusy(SchedIdx, +1);
       S.Live.push_back({S.NAppended++, WId});
       S.ReadyMask |= uint64_t(1) << (S.Live.size() - 1);
-      ++SM.ActiveWarps;
+      ++ResidentWarps;
     }
     (void)SMIdx;
   }
@@ -843,8 +880,13 @@ struct Simulator::Impl {
 
   template <bool FullStats> bool runLoop(SimResult &Res);
 
+  /// Follower side of the gate: waits until the seed's floor reaches
+  /// \p Need or the gate resolves (installing the budget). False, with
+  /// \p Res describing the abort, when the seed failed.
+  bool awaitGate(uint64_t Need, SimResult &Res);
+
   SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel S,
-                uint64_t CycleBudget);
+                const RunBudget &B);
 };
 
 //===----------------------------------------------------------------------===//
@@ -1292,7 +1334,7 @@ bool Simulator::Impl::execute(SMState &SM, unsigned SMIdx, uint32_t WId,
     if (W.LiveMask == 0 && !W.Done) {
       W.Done = true;
       ProgressCycle = Cycle;
-      --SM.ActiveWarps;
+      --ResidentWarps;
       ++B.WarpsDone;
       dropWarp(SM, WId);
     }
@@ -1832,6 +1874,12 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
                   "runaway kernel?)";
       return false;
     }
+    if (GateSeed && (GateIters++ & 0x7FF) == 0)
+      Gate->raiseFloor(Cycle + 1); // live at this loop top: total > Cycle
+    // A follower steps to this loop top only if a run budgeted at the
+    // incumbent would: Cycle < floor <= incumbent, or the gate resolved.
+    if (Awaiting && Cycle >= GateFloor && !awaitGate(Cycle + 1, Res))
+      return false;
     if (Budget != 0 && Cycle >= Budget) {
       // Some kernel is still running at the budget cycle, so the final
       // TotalCycles would come out strictly greater than the budget:
@@ -1893,23 +1941,27 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
       Heartbeat->set(Cycle);
 
     bool AnyIssued = false;
+    // Warps that block during an issue pass sample their new reason
+    // here; everything blocked earlier is in IterBlocked.
     uint64_t CycleSamples[NumStalls] = {};
     uint64_t ActiveWarps = 0;
-    uint64_t ActiveScheds = 0;
+    if constexpr (FullStats) {
+      std::copy(std::begin(BlockedTotal), std::end(BlockedTotal),
+                std::begin(IterBlocked));
+      IterBusy = BusyScheds;
+      // Warps arrive and leave only during their own SM's visit, after
+      // its sample: the loop-top total is every SM's sample.
+      ActiveWarps = ResidentWarps;
+    }
 
     for (unsigned S = 0; S < SMs.size(); ++S) {
       SMState &SM = SMs[S];
-      if constexpr (FullStats)
-        ActiveWarps += static_cast<uint64_t>(SM.ActiveWarps);
-      for (SchedState &Sched : SM.Scheds) {
+      for (unsigned Idx = 0; Idx < SM.Scheds.size(); ++Idx) {
+        SchedState &Sched = SM.Scheds[Idx];
+        SampledScheds = Idx + 1;
         if (Sched.Live.empty())
           continue;
-        if constexpr (FullStats)
-          ++ActiveScheds;
         popDue(SM, Sched);
-        if constexpr (FullStats)
-          for (size_t R = 0; R < NumStalls; ++R)
-            CycleSamples[R] += Sched.BlockedCounts[R];
         if (Sched.ReadyMask) {
           AnyIssued |= tryIssue<FullStats>(SM, S, Sched, CycleSamples);
           if (!Error.empty()) {
@@ -1940,6 +1992,13 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
         return false;
       }
       Delta = std::max<uint64_t>(1, NextEvent - Cycle);
+      // A follower fast-forwards only as far as the floor: a budgeted
+      // run would not clamp a step that ends at or below the incumbent.
+      // Clamping Delta to the floor instead would add loop iterations
+      // (each bumps idle round-robin cursors) and shift the schedule.
+      if (Awaiting && Cycle + Delta > GateFloor &&
+          !awaitGate(Cycle + Delta, Res))
+        return false;
       // Never fast-forward past the budget: the next iteration must
       // observe Cycle == Budget and abort there, not at whatever event
       // happened to be scheduled beyond it. Cycle < Budget here (the
@@ -1957,17 +2016,33 @@ template <bool FullStats> bool Simulator::Impl::runLoop(SimResult &Res) {
     }
     if constexpr (FullStats) {
       for (size_t R = 0; R < NumStalls; ++R)
-        StallSamples[R] += CycleSamples[R] * Delta;
+        StallSamples[R] += (IterBlocked[R] + CycleSamples[R]) * Delta;
       ActiveWarpIntegral += ActiveWarps * Delta;
-      ActiveCycleSlots += ActiveScheds * Delta;
+      ActiveCycleSlots += IterBusy * Delta;
     }
     Cycle += Delta;
   }
   return true;
 }
 
+bool Simulator::Impl::awaitGate(uint64_t Need, SimResult &Res) {
+  uint64_t Final = Gate->await(Need, GateFloor);
+  if (Final == CycleGate::Aborted) {
+    Res.GateAborted = true;
+    Res.Error = "incumbent seed failed";
+    Res.TotalCycles = Cycle;
+    Res.TotalIssued = IssuedSlots;
+    return false;
+  }
+  if (Final != 0) {
+    Budget = Final;
+    Awaiting = false;
+  }
+  return true;
+}
+
 SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
-                               StatsLevel Stats, uint64_t CycleBudget) {
+                               StatsLevel Stats, const RunBudget &B) {
   SimResult Res;
   const GpuArch &A = Config.Arch;
   StatsFull = Stats == StatsLevel::Full;
@@ -1976,7 +2051,12 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
   SMs.clear();
   Launches.clear();
   Cycle = 0;
-  Budget = CycleBudget;
+  Gate = B.Gate;
+  GateSeed = Gate && B.Seed;
+  Awaiting = Gate && !B.Seed;
+  GateFloor = 0;
+  GateIters = 0;
+  Budget = Awaiting ? 0 : B.Cycles;
   ProgressCycle = 0;
   Watchdog = Config.WatchdogCycles;
   LoopIters = 0;
@@ -2013,6 +2093,10 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
   std::fill(std::begin(StallSamples), std::end(StallSamples), 0);
   ActiveWarpIntegral = 0;
   ActiveCycleSlots = 0;
+  std::fill(std::begin(BlockedTotal), std::end(BlockedTotal), 0);
+  ResidentWarps = 0;
+  BusyScheds = 0;
+  SampledScheds = 0;
   CandSectorsValid = false;
   double BW = A.BytesPerCycleDevice * Config.SimSMs / A.NumSMs;
   Mem = std::make_unique<MemorySystem>(BW, A.LatGlobal, A.SectorBytes);
@@ -2113,6 +2197,8 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
   }
 
   bool Ok = StatsFull ? runLoop<true>(Res) : runLoop<false>(Res);
+  if (Res.GateAborted)
+    return Res; // no verdict: nothing about this run is accounted
   if (telemetry::metricsOn()) {
     HFUSE_METRIC_ADD("sim.runs", 1);
     HFUSE_METRIC_ADD("sim.insts", IssuedSlots);
@@ -2170,8 +2256,7 @@ SimResult Simulator::Impl::run(const std::vector<KernelLaunch> &Ls,
         static_cast<double>(LS.CompletionCycle) / (A.ClockGHz * 1e9) * 1e3;
     M.IssuedInsts = LS.Issued;
     // Export measured issue counts (the paper's Figure 8 data) for
-    // profiled runs only — search sweeps run StatsLevel::Minimal and
-    // would otherwise thrash these gauges thousands of times per pair.
+    // Full-stats runs: one registry lookup per launch, after the loop.
     if (StatsFull && telemetry::metricsOn())
       telemetry::MetricsRegistry::instance()
           .gauge("sim.issued." + M.Label)
@@ -2217,15 +2302,55 @@ uint64_t Simulator::allocGlobal(size_t Bytes) {
 std::vector<uint8_t> &Simulator::globalMem() { return P->Global; }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches) {
-  return P->run(Launches, P->Config.Stats, P->Config.CycleBudget);
+  return P->run(Launches, P->Config.Stats, {P->Config.CycleBudget});
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
                          StatsLevel Stats) {
-  return P->run(Launches, Stats, P->Config.CycleBudget);
+  return P->run(Launches, Stats, {P->Config.CycleBudget});
 }
 
 SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
                          StatsLevel Stats, uint64_t CycleBudget) {
-  return P->run(Launches, Stats, CycleBudget);
+  return P->run(Launches, Stats, {CycleBudget});
+}
+
+SimResult Simulator::run(const std::vector<KernelLaunch> &Launches,
+                         StatsLevel Stats, const RunBudget &Budget) {
+  return P->run(Launches, Stats, Budget);
+}
+
+//===----------------------------------------------------------------------===//
+// CycleGate
+//===----------------------------------------------------------------------===//
+
+void CycleGate::publish(std::atomic<uint64_t> &Field, uint64_t Value) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Field.store(Value, std::memory_order_release);
+    if (Waiters == 0)
+      return;
+  }
+  Cv.notify_all();
+}
+
+void CycleGate::raiseFloor(uint64_t Floor) { publish(FloorCycles, Floor); }
+
+void CycleGate::resolve(uint64_t Incumbent) { publish(Final, Incumbent); }
+
+void CycleGate::abort() { publish(Final, Aborted); }
+
+uint64_t CycleGate::await(uint64_t Need, uint64_t &Floor) {
+  auto Ready = [&] {
+    return Final.load(std::memory_order_acquire) != 0 ||
+           FloorCycles.load(std::memory_order_acquire) >= Need;
+  };
+  if (!Ready()) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    ++Waiters;
+    Cv.wait(Lock, Ready);
+    --Waiters;
+  }
+  Floor = FloorCycles.load(std::memory_order_acquire);
+  return Final.load(std::memory_order_acquire);
 }

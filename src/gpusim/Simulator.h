@@ -38,10 +38,16 @@
 /// fast-forwards to the next event when no scheduler can issue. Cycle
 /// counts are bit-identical to the historical scan-every-warp loop
 /// (tests/GoldenSimTest.cpp pins them). StatsLevel selects how much
-/// profiling work rides along: Full (default) keeps nvprof-style
-/// stall-reason sampling, occupancy integration, and per-launch traffic
-/// accounting; Minimal skips all of it and reports timing only — the
-/// mode the Figure 6 search sweep runs in.
+/// profiling work rides along: Full (default, and what the Figure 6
+/// search sweep runs) keeps nvprof-style stall-reason sampling,
+/// occupancy integration, and per-launch traffic accounting at O(1)
+/// cost per loop iteration; Minimal skips all of it and reports timing
+/// only (ranking probes and the simulator benches).
+///
+/// A CycleGate lets a budgeted run start before its budget is known:
+/// the search's incumbent seed publishes how far it has provably run,
+/// and runs started alongside it never step past that point until the
+/// seed's final cycle count — their budget — is published.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,8 +58,11 @@
 #include "ir/IR.h"
 #include "support/CancellationToken.h"
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -128,6 +137,11 @@ struct SimResult {
   /// persisted, and the partial TotalCycles/TotalIssued only say how
   /// far the run got before it noticed.
   bool Cancelled = false;
+  /// The run followed a CycleGate whose seed failed or was cancelled
+  /// before this run finished (Ok is false). It has no verdict about the
+  /// kernel: callers discard it, and nothing may count, memoize or
+  /// persist it.
+  bool GateAborted = false;
   /// Makespan: cycle when the last kernel finished ("elapsed time after
   /// the first kernel launches and before the second kernel finishes").
   uint64_t TotalCycles = 0;
@@ -208,6 +222,68 @@ struct SimConfig {
   CancellationToken Cancel;
 };
 
+/// Couples one *seed* run, simulated to completion, with *follower* runs
+/// whose cycle budget is the seed's final cycle count — the incumbent
+/// of a branch-and-bound sweep — so the followers can start before that
+/// count is known and still run exactly as if budgeted from cycle 0.
+///
+/// The seed raises a floor as it runs: at the top of a loop iteration at
+/// cycle F some kernel is still live, and a block retiring at cycle c
+/// completes its launch at c + 1, so the seed's total is at least F + 1.
+/// A follower with the budget unresolved steps to a loop top at cycle C
+/// only while C < floor, and fast-forwards by Delta only while
+/// C + Delta <= floor; otherwise it blocks. Neither step can be one that
+/// a run budgeted at the final count would clamp or abort, so the
+/// follower's schedule, abort cycle and issued count are bit-identical
+/// to that run. Once resolved, the ordinary budget logic takes over.
+/// An aborted gate (the seed failed) ends every follower with
+/// SimResult::GateAborted. Thread-safe; followers block on a condition
+/// variable, never spin.
+class CycleGate {
+public:
+  /// resolved() of a gate whose seed failed or was cancelled.
+  static constexpr uint64_t Aborted = UINT64_MAX;
+
+  /// Seed side: the seed's total is now known to be at least \p Floor.
+  void raiseFloor(uint64_t Floor);
+  /// Seed side: the seed completed with \p Incumbent (>= 1) cycles.
+  void resolve(uint64_t Incumbent);
+  /// Seed side: the seed produced no incumbent.
+  void abort();
+
+  /// Follower side: blocks until floor() >= \p Need or the gate
+  /// resolves. Returns resolved() and stores the floor in \p Floor.
+  uint64_t await(uint64_t Need, uint64_t &Floor);
+  /// The incumbent, Aborted, or 0 while the seed still runs.
+  uint64_t resolved() const {
+    return Final.load(std::memory_order_acquire);
+  }
+
+private:
+  void publish(std::atomic<uint64_t> &Field, uint64_t Value);
+
+  std::atomic<uint64_t> FloorCycles{0};
+  std::atomic<uint64_t> Final{0};
+  std::mutex Mu;
+  std::condition_variable Cv;
+  unsigned Waiters = 0; ///< guarded by Mu
+};
+
+/// What bounds one run: a known cycle budget (0 = unlimited; see
+/// SimConfig::CycleBudget), or a CycleGate the run either publishes to
+/// (the seed, run unbudgeted) or follows (Cycles is then ignored).
+struct RunBudget {
+  uint64_t Cycles = 0;
+  CycleGate *Gate = nullptr;
+  bool Seed = false;
+
+  /// The budget in force once the run has finished: the gate's
+  /// incumbent for a follower, Cycles otherwise.
+  uint64_t effective() const {
+    return Gate && !Seed ? Gate->resolved() : Cycles;
+  }
+};
+
 /// Owns the global-memory arena and runs kernel launches to completion.
 /// Allocate buffers, fill them via globalMem(), run(), read results.
 class Simulator {
@@ -234,6 +310,10 @@ public:
   /// (0 = unlimited regardless of SimConfig::CycleBudget).
   SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats,
                 uint64_t CycleBudget);
+
+  /// Same, with the run bounded by \p Budget (possibly gated).
+  SimResult run(const std::vector<KernelLaunch> &Launches, StatsLevel Stats,
+                const RunBudget &Budget);
 
 private:
   struct Impl;

@@ -40,7 +40,9 @@ namespace hfuse::profile {
 /// ResultStore: the SimResult codec, the compile-digest layout, and the
 /// disk-key construction. Bump it whenever any of those changes — old
 /// records are then quarantined on open instead of being misread.
-inline constexpr uint32_t kStoreSchemaVersion = 1;
+/// Version 2: simulation disk keys no longer carry a stats level
+/// (every search simulation runs at StatsLevel::Full).
+inline constexpr uint32_t kStoreSchemaVersion = 2;
 
 /// Deterministic binary codec for a simulation result. Bit-exact: every
 /// integer field round-trips verbatim and doubles round-trip by IEEE

@@ -8,6 +8,7 @@
 
 #include "gpusim/Occupancy.h"
 #include "ir/RegAlloc.h"
+#include "profile/SearchCommon.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
 #include "support/Hashing.h"
@@ -63,6 +64,12 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
 
   if (Ids.size() < 2) {
     Err = "n-way fusion needs at least 2 kernels";
+    InitStatus = Status(ErrorCode::InvalidArgument, Err);
+    return;
+  }
+  InitStatus = checkSearchOptions(this->Opts);
+  if (!InitStatus.ok()) {
+    Err = InitStatus.message();
     return;
   }
 
@@ -79,6 +86,7 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
     }
     if (!K) {
       Err = "kernel compilation failed:\n" + Diags.str();
+      InitStatus = Status(ErrorCode::Internal, Err);
       return;
     }
     Ks.push_back(std::move(K));
@@ -88,6 +96,7 @@ NWayRunner::NWayRunner(std::vector<BenchKernelId> InIds, Options InOpts)
   std::unique_ptr<SimContext> C = makeContext(CtxErr);
   if (!C) {
     Err = CtxErr;
+    InitStatus = Status(ErrorCode::WorkloadError, Err);
     return;
   }
   Primary = std::move(*C);
@@ -161,38 +170,13 @@ SimResult NWayRunner::fail(const std::string &Message) const {
   return R;
 }
 
-namespace {
-
-/// Same classification as the pair runner's (see PairRunner.cpp).
-Status statusFromSim(const SimResult &R) {
-  if (R.Cancelled)
-    return Status::transient(
-        R.Error.find("deadline") != std::string::npos
-            ? ErrorCode::DeadlineExceeded
-            : ErrorCode::Cancelled,
-        R.Error);
-  ErrorCode Code = ErrorCode::SimError;
-  if (R.Deadlock)
-    Code = ErrorCode::SimDeadlock;
-  else if (R.TimedOut)
-    Code = ErrorCode::SimTimeout;
-  else if (R.BudgetExceeded)
-    Code = ErrorCode::SimBudget;
-  else if (R.Error.rfind("verification failed", 0) == 0)
-    Code = ErrorCode::VerifyError;
-  return R.FaultInjected ? Status::transient(Code, R.Error)
-                         : Status(Code, R.Error);
-}
-
-} // namespace
-
 SimResult NWayRunner::runLaunches(SimContext &C,
                                   const std::vector<KernelLaunch> &Launches,
                                   const std::vector<int> &VerifyThreads,
-                                  StatsLevel Level, uint64_t CycleBudget) {
+                                  const RunBudget &Budget) {
   for (auto &W : C.W)
     W->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, Level, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, Budget);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -227,7 +211,7 @@ SimResult NWayRunner::runNative() {
     VerifyThreads.push_back(L.GridDim * W->preferredBlockThreads());
     Launches.push_back(std::move(L));
   }
-  return runLaunches(Primary, Launches, VerifyThreads, StatsLevel::Full);
+  return runLaunches(Primary, Launches, VerifyThreads);
 }
 
 SimResult NWayRunner::runSerial() {
@@ -246,8 +230,7 @@ SimResult NWayRunner::runSerial() {
     L.Label = kernelDisplayName(Ids[I]);
     std::vector<int> VerifyThreads(Ids.size(), 0);
     VerifyThreads[I] = L.GridDim * W->preferredBlockThreads();
-    SimResult R =
-        runLaunches(Primary, {L}, VerifyThreads, StatsLevel::Full);
+    SimResult R = runLaunches(Primary, {L}, VerifyThreads);
     if (!R.Ok)
       return R;
     Agg.TotalCycles += R.TotalCycles;
@@ -364,8 +347,8 @@ NWayRunner::getFusedIR(const std::vector<int> &Dims, unsigned RegBound,
 SimResult NWayRunner::runHFusedIn(SimContext &C,
                                   const std::vector<int> &Dims,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, StatsLevel Level,
-                                  uint64_t CycleBudget) {
+                                  SearchStats *Stats,
+                                  const RunBudget &Budget) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(Dims, RegBound, DynShared, Err);
@@ -376,28 +359,22 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
   int BlockDim = 0;
   for (int D : Dims)
     BlockDim += D;
-  auto MemoKey = std::make_tuple(
-      static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared, static_cast<int>(Level));
 
   // Disk key: the memo key with pointer identity widened to content
   // identity (the fused IR dump hash) plus everything else the
-  // simulation is a pure function of — launch geometry, stats level,
-  // simulator model, and workload identity (kernel set, seed, scale) —
-  // so warm --cache-dir reruns are bit-identical to cold ones. Same
-  // contract as the pair runner's key; the kernel-count field keeps
-  // the layouts disjoint.
-  const bool UseDisk =
-      Opts.UseCompileCache && !Opts.Verify && Cache->hasStore();
+  // simulation is a pure function of — launch geometry, simulator
+  // model, and workload identity (kernel set, seed, scale) — so warm
+  // --cache-dir reruns are bit-identical to cold ones. Same contract as
+  // the pair runner's key; the kernel-count field keeps the layouts
+  // disjoint.
   std::string DiskKey;
-  if (UseDisk) {
+  if (Opts.UseCompileCache && !Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
     KW.u64(fnv1a64(IR->str()));
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
-    KW.u32(static_cast<uint32_t>(Level));
     KW.str(Opts.Arch.Name);
     KW.u32(static_cast<uint32_t>(Opts.Arch.NumSMs));
     KW.f64(Opts.Arch.ClockGHz);
@@ -411,104 +388,25 @@ SimResult NWayRunner::runHFusedIn(SimContext &C,
     }
     DiskKey = KW.take();
   }
-  for (;;) {
-    std::promise<SimResult> MemoPromise;
-    bool IsMemoRunner = false;
-    std::shared_ptr<std::shared_future<SimResult>> Entry;
-    if (Opts.UseCompileCache) {
-      {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end()) {
-          Entry = It->second;
-        } else {
-          IsMemoRunner = true;
-          Entry = std::make_shared<std::shared_future<SimResult>>(
-              MemoPromise.get_future().share());
-          SimMemo.emplace(MemoKey, Entry);
+  return Memo.run(
+      {IR.get(), Grid, BlockDim, DynShared}, DiskKey, Opts.UseCompileCache,
+      *Cache, Budget, Stats, [&] {
+        KernelLaunch L;
+        L.Kernel = IR.get();
+        L.GridDim = Grid;
+        L.BlockDim = BlockDim;
+        L.DynSharedBytes = DynShared;
+        std::vector<int> VerifyThreads;
+        for (size_t I = 0; I < C.W.size(); ++I) {
+          const auto &P = C.W[I]->params();
+          L.Params.insert(L.Params.end(), P.begin(), P.end());
+          VerifyThreads.push_back(Grid * Dims[I]);
         }
-      }
-      if (!IsMemoRunner) {
-        SimResult R = Entry->get();
-        if (R.BudgetExceeded) {
-          // Stored abort looser than this caller needs: retire and
-          // retry (see the pair runner's commentary).
-          if (CycleBudget == 0 || CycleBudget > R.TotalCycles) {
-            std::lock_guard<std::mutex> Lock(SimMemoMu);
-            auto It = SimMemo.find(MemoKey);
-            if (It != SimMemo.end() && It->second == Entry)
-              SimMemo.erase(It);
-            continue;
-          }
-        } else if (R.Ok && CycleBudget != 0 &&
-                   R.TotalCycles > CycleBudget) {
-          SimResult A;
-          A.BudgetExceeded = true;
-          A.Error = "cycle budget exceeded";
-          A.TotalCycles = CycleBudget;
-          R = A;
-        }
-        Cache->count(&CompileCache::Stats::SimMemoHits);
-        if (Stats)
-          ++Stats->MemoHits;
-        return R;
-      }
-
-      if (UseDisk) {
-        if (std::optional<SimResult> Disk = Cache->loadSimResult(DiskKey)) {
-          SimResult R = std::move(*Disk);
-          MemoPromise.set_value(R);
-          if (CycleBudget != 0 && R.TotalCycles > CycleBudget) {
-            SimResult A;
-            A.BudgetExceeded = true;
-            A.Error = "cycle budget exceeded";
-            A.TotalCycles = CycleBudget;
-            R = A;
-          }
-          if (Stats)
-            ++Stats->MemoHits;
-          return R;
-        }
-      }
-    }
-
-    KernelLaunch L;
-    L.Kernel = IR.get();
-    L.GridDim = Grid;
-    L.BlockDim = BlockDim;
-    L.DynSharedBytes = DynShared;
-    std::vector<int> VerifyThreads;
-    for (size_t I = 0; I < C.W.size(); ++I) {
-      const auto &P = C.W[I]->params();
-      L.Params.insert(L.Params.end(), P.begin(), P.end());
-      VerifyThreads.push_back(Grid * Dims[I]);
-    }
-    L.Label = formatString(
-        "HFuse(%s,%s%s)", namesLabel().c_str(), dimsLabel(Dims).c_str(),
-        RegBound ? formatString(",r%u", RegBound).c_str() : "");
-    Cache->count(&CompileCache::Stats::SimRuns);
-    if (Stats)
-      ++Stats->Simulations;
-    SimResult R =
-        runLaunches(C, {L}, VerifyThreads, Level, CycleBudget);
-    if (Stats) {
-      Stats->SimulatedInsts += R.TotalIssued;
-      if (R.BudgetExceeded)
-        Stats->AbandonedInsts += R.TotalIssued;
-    }
-    if (IsMemoRunner) {
-      if ((R.FaultInjected || R.Cancelled) && Opts.UseCompileCache) {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end() && It->second == Entry)
-          SimMemo.erase(It);
-      }
-      if (UseDisk)
-        Cache->storeSimResult(DiskKey, R);
-      MemoPromise.set_value(R);
-    }
-    return R;
-  }
+        L.Label = formatString(
+            "HFuse(%s,%s%s)", namesLabel().c_str(), dimsLabel(Dims).c_str(),
+            RegBound ? formatString(",r%u", RegBound).c_str() : "");
+        return runLaunches(C, {L}, VerifyThreads, Budget);
+      });
 }
 
 SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
@@ -518,8 +416,7 @@ SimResult NWayRunner::runHFused(const std::vector<int> &Dims,
   if (Dims.size() != Ids.size())
     return fail("partition count does not match kernel count");
   Status E;
-  SimResult R = runHFusedIn(Primary, Dims, RegBound, E, nullptr,
-                            StatsLevel::Full);
+  SimResult R = runHFusedIn(Primary, Dims, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -613,8 +510,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   SR.RunId =
       formatString("s%u:%s", nextSearchRunSeq(), namesLabel().c_str());
   if (!Ready) {
-    SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status()
-                                     : Status(ErrorCode::Internal, Err);
+    SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status() : InitStatus;
     SR.Error = SR.Err.message().empty() ? Err : SR.Err.message();
     return SR;
   }
@@ -834,7 +730,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
 
-  auto Measure = [&](size_t K, uint64_t Budget) {
+  auto Measure = [&](size_t K, const RunBudget &Budget) {
     Candidate &C = Cands[Kept[K]];
     if (!FaultInjector::instance()
              .check(FaultSite::CancelSimulate, dimsLabel(C.Dims))
@@ -858,17 +754,21 @@ NWaySearchResult NWayRunner::searchBestConfig() {
                                     dimsLabel(C.Dims).c_str(), C.RegBound)
                      : formatString("c%d %s", C.Id,
                                     dimsLabel(C.Dims).c_str()),
-          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu}",
+          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu,"
+                       "\"gated\":%s}",
                        SR.RunId.c_str(), C.Id,
-                       static_cast<unsigned long long>(Budget)));
+                       static_cast<unsigned long long>(Budget.Cycles),
+                       Budget.Gate && !Budget.Seed ? "true" : "false"));
     NWayCandidate FC;
     FC.Id = C.Id;
     FC.Dims = C.Dims;
     FC.RegBound = C.RegBound;
     Status E;
     FC.Result = runHFusedIn(*Ctx, C.Dims, C.RegBound, E, &KeptStats[K],
-                            Opts.SearchStats, Budget);
-    if (FC.Result.Ok) {
+                            Budget);
+    if (FC.Result.GateAborted) {
+      // No verdict: seedIncumbent forgets this candidate.
+    } else if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
       C.Measured = std::move(FC);
@@ -879,7 +779,7 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       C.Skipped = true;
     } else if (FC.Result.BudgetExceeded) {
       C.Abandoned = true;
-      C.AbandonBudget = Budget;
+      C.AbandonBudget = Budget.effective();
       C.AbandonIssued = FC.Result.TotalIssued;
     } else if (C.Error.ok())
       C.Error = !E.ok() ? E : statusFromSim(FC.Result);
@@ -896,6 +796,20 @@ NWaySearchResult NWayRunner::searchBestConfig() {
   std::vector<size_t> Order(Kept.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
+  std::atomic<uint64_t> SharedIncumbent{0};
+  auto MeasureAt = [&](size_t Pos, const RunBudget &Budget) -> uint64_t {
+    Measure(Order[Pos], Budget);
+    const Candidate &C = Cands[Kept[Order[Pos]]];
+    if (!C.Measured)
+      return 0;
+    const uint64_t Cycles = C.Measured->Cycles;
+    uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
+    while (Tight && (Cur == 0 || Cycles < Cur) &&
+           !SharedIncumbent.compare_exchange_weak(Cur, Cycles,
+                                                  std::memory_order_relaxed))
+      ;
+    return Cycles;
+  };
   if (Budgeted && !Kept.empty()) {
     // Generalized lower bound: the grid drains in
     // ceil(Grid / (BlocksPerSM * SimSMs)) waves, a wave lasts at least
@@ -946,14 +860,16 @@ NWaySearchResult NWayRunner::searchBestConfig() {
         return CB.MarginReadmit;
       return Bound[A] < Bound[B];
     });
-    while (Seeded < Order.size()) {
-      size_t K = Order[Seeded++];
-      Measure(K, 0);
-      if (Cands[Kept[K]].Measured) {
-        Incumbent = Cands[Kept[K]].Measured->Cycles;
-        break;
-      }
-    }
+    Incumbent = seedIncumbent(
+        Pool.get(), Order.size(), Seeded,
+        [&](size_t Pos) { return !Cands[Kept[Order[Pos]]].MarginReadmit; },
+        MeasureAt, [&](size_t Pos) {
+          Candidate &C = Cands[Kept[Order[Pos]]];
+          C.Skipped = C.Abandoned = false;
+          C.Error = Status();
+          C.Measured.reset();
+          KeptStats[Order[Pos]] = SearchStats();
+        });
   }
   auto MarginOf = [&](uint64_t Inc) -> uint64_t {
     return Inc == 0
@@ -964,23 +880,14 @@ NWaySearchResult NWayRunner::searchBestConfig() {
                             (1.0 +
                              std::max(0.0, Opts.BudgetMarginPct) / 100.0)));
   };
-  std::atomic<uint64_t> SharedIncumbent{Incumbent};
   parallelFor(Pool.get(), Kept.size() - Seeded, [&](size_t I) {
-    size_t K = Order[Seeded + I];
     uint64_t Budget = 0;
     const uint64_t Inc =
         Tight ? SharedIncumbent.load(std::memory_order_relaxed) : Incumbent;
     if (Budgeted && Inc != 0)
-      Budget = Cands[Kept[K]].MarginReadmit ? MarginOf(Inc) : Inc;
-    Measure(K, Budget);
-    if (Tight && Cands[Kept[K]].Measured) {
-      uint64_t Cycles = Cands[Kept[K]].Measured->Cycles;
-      uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
-      while ((Cur == 0 || Cycles < Cur) &&
-             !SharedIncumbent.compare_exchange_weak(
-                 Cur, Cycles, std::memory_order_relaxed))
-        ;
-    }
+      Budget = Cands[Kept[Order[Seeded + I]]].MarginReadmit ? MarginOf(Inc)
+                                                            : Inc;
+    MeasureAt(Seeded + I, {Budget});
   });
   SimPhaseSpan.finish();
 
@@ -1114,23 +1021,5 @@ NWaySearchResult NWayRunner::searchBestConfig() {
       });
   SR.Ok = true;
 
-  // Re-profile the winner at Full stats (same reasoning as the pair
-  // sweep: the candidates ranked on timing-only stats, Best should
-  // carry the complete metrics; cycles are identical by construction).
-  if (Opts.SearchStats != gpusim::StatsLevel::Full &&
-      !Opts.Cancel.cancelled()) {
-    std::string CtxErr;
-    if (SimContext *Ctx = acquireContext(CtxErr)) {
-      Status E;
-      SimResult R = runHFusedIn(*Ctx, SR.Best.Dims, SR.Best.RegBound, E,
-                                nullptr, gpusim::StatsLevel::Full);
-      releaseContext(Ctx);
-      if (R.Ok) {
-        SR.Best.Cycles = R.TotalCycles;
-        SR.Best.TimeMs = R.TotalMs;
-        SR.Best.Result = std::move(R);
-      }
-    }
-  }
   return SR;
 }

@@ -30,7 +30,9 @@
 ///      waves x max_k(S_k / D_k) x spill-inflation
 ///    (S_k the kernel's static instruction count, or its measured solo
 ///    issued count with Options::MeasuredBound) and everything after
-///    the seed runs under CycleBudget = incumbent;
+///    the seed runs under CycleBudget = incumbent — the first few
+///    gated on the seed's progress while it still runs (see
+///    seedIncumbent in SearchCommon.h);
 ///    SearchBudgetMode::IncumbentTight additionally tightens the
 ///    budget through a shared atomic minimum with the deterministic
 ///    post-sweep reporting described in SearchOptions.h.
@@ -148,6 +150,8 @@ public:
 
   bool ok() const { return Ready; }
   const std::string &error() const { return Err; }
+  /// Why construction failed (Ok when ok()); see PairRunner::status().
+  const Status &status() const { return InitStatus; }
 
   const std::vector<kernels::BenchKernelId> &kernelIds() const {
     return Ids;
@@ -211,15 +215,13 @@ private:
   gpusim::SimResult runHFusedIn(SimContext &C, const std::vector<int> &Dims,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                gpusim::StatsLevel Level,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {});
   /// \p VerifyThreads[k] > 0 verifies workload k against that many
   /// threads' worth of output.
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 const std::vector<int> &VerifyThreads,
-                                gpusim::StatsLevel Level,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {});
   std::optional<unsigned> regBoundImpl(const std::vector<int> &Dims,
                                        Status &Err);
   uint64_t soloIssuedCount(size_t Which, Status &E, SearchStats *Stats);
@@ -231,6 +233,7 @@ private:
   Options Opts;
   bool Ready = false;
   std::string Err;
+  Status InitStatus;
 
   std::shared_ptr<CompileCache> Cache;
   std::vector<std::shared_ptr<const CompiledKernel>> Ks;
@@ -247,12 +250,8 @@ private:
       FusionCache;
   std::mutex FusionCacheMu;
 
-  /// Simulation memo — same contract and retirement rules as
-  /// PairRunner::SimMemo.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t, int>,
-           std::shared_ptr<std::shared_future<gpusim::SimResult>>>
-      SimMemo;
-  std::mutex SimMemoMu;
+  /// Memoized candidate simulations (see SimMemo).
+  SimMemo Memo;
 };
 
 /// "/"-joined partition sizes ("256/256/256"), the N-way analogue of

@@ -9,6 +9,7 @@
 #include "cudalang/ASTPrinter.h"
 #include "gpusim/Occupancy.h"
 #include "ir/RegAlloc.h"
+#include "profile/SearchCommon.h"
 #include "support/BinaryCodec.h"
 #include "support/FaultInjector.h"
 #include "support/Hashing.h"
@@ -48,6 +49,12 @@ PairRunner::PairRunner(BenchKernelId A, BenchKernelId B, Options Opts)
   if (!this->Opts.Cancel.valid())
     this->Opts.Cancel = CancellationToken::make();
 
+  InitStatus = checkSearchOptions(this->Opts);
+  if (!InitStatus.ok()) {
+    Err = InitStatus.message();
+    return;
+  }
+
   DiagnosticEngine Diags;
   if (this->Opts.UseCompileCache) {
     K1 = Cache->getBenchKernel(A, /*RegBound=*/0, Diags, nullptr,
@@ -62,6 +69,7 @@ PairRunner::PairRunner(BenchKernelId A, BenchKernelId B, Options Opts)
   }
   if (!K1 || !K2) {
     Err = "kernel compilation failed:\n" + Diags.str();
+    InitStatus = Status(ErrorCode::Internal, Err);
     return;
   }
 
@@ -69,6 +77,7 @@ PairRunner::PairRunner(BenchKernelId A, BenchKernelId B, Options Opts)
   std::unique_ptr<SimContext> C = makeContext(CtxErr);
   if (!C) {
     Err = CtxErr;
+    InitStatus = Status(ErrorCode::WorkloadError, Err);
     return;
   }
   Primary = std::move(*C);
@@ -144,40 +153,13 @@ SimResult PairRunner::fail(const std::string &Message) const {
   return R;
 }
 
-namespace {
-
-/// Classifies a failed SimResult into the error taxonomy, preserving
-/// the transient flag of fault-injected runs.
-Status statusFromSim(const SimResult &R) {
-  // A cancelled run is a verdict about the request, not the candidate;
-  // transient so retry machinery never treats it as a kernel property.
-  if (R.Cancelled)
-    return Status::transient(
-        R.Error.find("deadline") != std::string::npos
-            ? ErrorCode::DeadlineExceeded
-            : ErrorCode::Cancelled,
-        R.Error);
-  ErrorCode Code = ErrorCode::SimError;
-  if (R.Deadlock)
-    Code = ErrorCode::SimDeadlock;
-  else if (R.TimedOut)
-    Code = ErrorCode::SimTimeout;
-  else if (R.BudgetExceeded)
-    Code = ErrorCode::SimBudget;
-  else if (R.Error.rfind("verification failed", 0) == 0)
-    Code = ErrorCode::VerifyError;
-  return R.FaultInjected ? Status::transient(Code, R.Error)
-                         : Status(Code, R.Error);
-}
-
-} // namespace
-
-SimResult PairRunner::runLaunches(
-    SimContext &C, const std::vector<KernelLaunch> &Launches, int Threads1,
-    int Threads2, StatsLevel Level, uint64_t CycleBudget) {
+SimResult PairRunner::runLaunches(SimContext &C,
+                                  const std::vector<KernelLaunch> &Launches,
+                                  int Threads1, int Threads2,
+                                  const RunBudget &Budget) {
   C.W1->clearOutputs(*C.Sim);
   C.W2->clearOutputs(*C.Sim);
-  SimResult R = C.Sim->run(Launches, Level, CycleBudget);
+  SimResult R = C.Sim->run(Launches, StatsLevel::Full, Budget);
   if (!R.Ok)
     return R;
   if (Opts.Verify) {
@@ -218,8 +200,7 @@ SimResult PairRunner::runNative() {
   L2.Label = kernelDisplayName(IdB);
   return runLaunches(Primary, {L1, L2},
                      L1.GridDim * W1->preferredBlockThreads(),
-                     L2.GridDim * W2->preferredBlockThreads(),
-                     StatsLevel::Full);
+                     L2.GridDim * W2->preferredBlockThreads());
 }
 
 SimResult PairRunner::runSolo(int Which) {
@@ -237,7 +218,7 @@ SimResult PairRunner::runSolo(int Which) {
   L.Label = kernelDisplayName(Which == 0 ? IdA : IdB);
   int Total = L.GridDim * W->preferredBlockThreads();
   return runLaunches(Primary, {L}, Which == 0 ? Total : 0,
-                     Which == 1 ? Total : 0, StatsLevel::Full);
+                     Which == 1 ? Total : 0);
 }
 
 uint64_t PairRunner::soloIssuedCount(int Which, Status &E,
@@ -311,8 +292,7 @@ SimResult PairRunner::runVFused() {
                   Primary.W2->params().end());
   L.Label = formatString("VFuse(%s+%s)", kernelDisplayName(IdA),
                          kernelDisplayName(IdB));
-  return runLaunches(Primary, {L}, Grid * 256, Grid * 256,
-                     StatsLevel::Full);
+  return runLaunches(Primary, {L}, Grid * 256, Grid * 256);
 }
 
 std::shared_ptr<ir::IRKernel>
@@ -423,8 +403,8 @@ PairRunner::getFusedIR(int D1, int D2, unsigned RegBound,
 
 SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
                                   unsigned RegBound, Status &Err,
-                                  SearchStats *Stats, StatsLevel Level,
-                                  uint64_t CycleBudget) {
+                                  SearchStats *Stats,
+                                  const RunBudget &Budget) {
   uint32_t DynShared = 0;
   std::shared_ptr<ir::IRKernel> IR =
       getFusedIR(D1, D2, RegBound, DynShared, Err);
@@ -433,29 +413,22 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
 
   int Grid = commonGrid();
   int BlockDim = D1 + D2;
-  auto MemoKey = std::make_tuple(
-      static_cast<const ir::IRKernel *>(IR.get()), Grid, BlockDim,
-      DynShared, static_cast<int>(Level));
 
   // Disk key for the second-level ResultStore. It mirrors the memo key
   // with pointer identity widened to content identity — the IR dump
   // hash — plus everything else the simulation is a pure function of:
-  // launch geometry, stats level, the architecture/simulator model, and
-  // the workload identity (pair, seed, scales) that determines the
-  // kernel parameters. Verified runs bypass the disk: a served result
-  // skips simulation, so the workload outputs verify() needs would not
-  // exist.
-  const bool UseDisk =
-      Opts.UseCompileCache && !Opts.Verify && Cache->hasStore();
+  // launch geometry, the architecture/simulator model, and the
+  // workload identity (pair, seed, scales) that determines the kernel
+  // parameters. Verified runs bypass the disk: a served result skips
+  // simulation, so the workload outputs verify() needs would not exist.
   std::string DiskKey;
-  if (UseDisk) {
+  if (Opts.UseCompileCache && !Opts.Verify && Cache->hasStore()) {
     ByteWriter KW;
     KW.str("sim-result");
     KW.u64(fnv1a64(IR->str()));
     KW.u32(static_cast<uint32_t>(Grid));
     KW.u32(static_cast<uint32_t>(BlockDim));
     KW.u32(DynShared);
-    KW.u32(static_cast<uint32_t>(Level));
     KW.str(Opts.Arch.Name);
     KW.u32(static_cast<uint32_t>(Opts.Arch.NumSMs));
     KW.f64(Opts.Arch.ClockGHz);
@@ -468,141 +441,30 @@ SimResult PairRunner::runHFusedIn(SimContext &C, int D1, int D2,
     KW.str(kernelDisplayName(IdB));
     DiskKey = KW.take();
   }
-  // The retry loop exists for one case: a memoized entry that turns
-  // out to be a budget abort looser than what this caller needs. The
-  // caller retires that entry (if nobody else has yet) and re-enters
-  // the memo as a fresh runner.
-  for (;;) {
-    std::promise<SimResult> MemoPromise;
-    bool IsMemoRunner = false;
-    std::shared_ptr<std::shared_future<SimResult>> Entry;
-    if (Opts.UseCompileCache) {
-      {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end()) {
-          Entry = It->second;
-        } else {
-          IsMemoRunner = true;
-          Entry = std::make_shared<std::shared_future<SimResult>>(
-              MemoPromise.get_future().share());
-          SimMemo.emplace(MemoKey, Entry);
-        }
-      }
-      if (!IsMemoRunner) {
-        // Served by a completed — or currently running — identical
-        // launch; failures replay too (the simulator is deterministic).
-        SimResult R = Entry->get();
-        if (R.BudgetExceeded) {
-          // The stored run was abandoned at its own budget
-          // (R.TotalCycles). That verdict is deterministic for any
-          // caller at least as tight — aliases sharing the launch get
-          // the same abandonment whether they waited on the running
-          // future or replayed the stored one. A caller needing more
-          // simulation retires the entry and retries; the identity
-          // check keeps a concurrent retirement from erasing the
-          // fresh runner that replaced it.
-          if (CycleBudget == 0 || CycleBudget > R.TotalCycles) {
-            std::lock_guard<std::mutex> Lock(SimMemoMu);
-            auto It = SimMemo.find(MemoKey);
-            if (It != SimMemo.end() && It->second == Entry)
-              SimMemo.erase(It);
-            continue;
-          }
-        } else if (R.Ok && CycleBudget != 0 &&
-                   R.TotalCycles > CycleBudget) {
-          // Full result known to exceed this caller's budget: abandon
-          // without simulating — the exact decision a budgeted run
-          // would have reached, for free.
-          SimResult A;
-          A.BudgetExceeded = true;
-          A.Error = "cycle budget exceeded";
-          A.TotalCycles = CycleBudget;
-          R = A;
-        }
-        Cache->count(&CompileCache::Stats::SimMemoHits);
-        if (Stats)
-          ++Stats->MemoHits;
-        return R;
-      }
-
-      // This thread owns the memo entry: consult the disk before
-      // simulating. A hit is always a completed Ok run (failures are
-      // never persisted), published to the memo in full so concurrent
-      // waiters apply their own budget logic exactly as they would to
-      // a fresh result.
-      if (UseDisk) {
-        if (std::optional<SimResult> Disk = Cache->loadSimResult(DiskKey)) {
-          SimResult R = std::move(*Disk);
-          MemoPromise.set_value(R);
-          if (CycleBudget != 0 && R.TotalCycles > CycleBudget) {
-            SimResult A;
-            A.BudgetExceeded = true;
-            A.Error = "cycle budget exceeded";
-            A.TotalCycles = CycleBudget;
-            R = A;
-          }
-          if (Stats)
-            ++Stats->MemoHits;
-          return R;
-        }
-      }
-    }
-
-    KernelLaunch L;
-    L.Kernel = IR.get();
-    L.GridDim = Grid;
-    L.BlockDim = BlockDim;
-    L.DynSharedBytes = DynShared;
-    L.Params = C.W1->params();
-    L.Params.insert(L.Params.end(), C.W2->params().begin(),
-                    C.W2->params().end());
-    L.Label = formatString("HFuse(%s+%s,%d/%d%s)", kernelDisplayName(IdA),
-                           kernelDisplayName(IdB), D1, D2,
-                           RegBound ? formatString(",r%u", RegBound).c_str()
-                                    : "");
-    Cache->count(&CompileCache::Stats::SimRuns);
-    if (Stats)
-      ++Stats->Simulations;
-    SimResult R =
-        runLaunches(C, {L}, Grid * D1, Grid * D2, Level, CycleBudget);
-    if (Stats) {
-      Stats->SimulatedInsts += R.TotalIssued;
-      if (R.BudgetExceeded)
-        Stats->AbandonedInsts += R.TotalIssued;
-    }
-    if (IsMemoRunner) {
-      // A fault-injected failure is transient: retire the entry before
-      // publishing so waiters get the error but any later request
-      // re-simulates (the identity check spares a successor entry).
-      // Cancelled runs are retired for the same reason — a cancel is a
-      // property of the request, never of the launch, so it must not
-      // be replayed to an un-cancelled request sharing the key.
-      // Deterministic failures stay memoized — replaying them is
-      // correct and cheap.
-      if ((R.FaultInjected || R.Cancelled) && Opts.UseCompileCache) {
-        std::lock_guard<std::mutex> Lock(SimMemoMu);
-        auto It = SimMemo.find(MemoKey);
-        if (It != SimMemo.end() && It->second == Entry)
-          SimMemo.erase(It);
-      }
-      // Persist only completed, healthy runs (storeSimResult enforces
-      // R.Ok): budget aborts depend on the caller's budget, and no
-      // failure may ever be servable from cache.
-      if (UseDisk)
-        Cache->storeSimResult(DiskKey, R);
-      MemoPromise.set_value(R);
-    }
-    return R;
-  }
+  return Memo.run({IR.get(), Grid, BlockDim, DynShared}, DiskKey,
+                  Opts.UseCompileCache, *Cache, Budget, Stats, [&] {
+                    KernelLaunch L;
+                    L.Kernel = IR.get();
+                    L.GridDim = Grid;
+                    L.BlockDim = BlockDim;
+                    L.DynSharedBytes = DynShared;
+                    L.Params = C.W1->params();
+                    L.Params.insert(L.Params.end(), C.W2->params().begin(),
+                                    C.W2->params().end());
+                    L.Label = formatString(
+                        "HFuse(%s+%s,%d/%d%s)", kernelDisplayName(IdA),
+                        kernelDisplayName(IdB), D1, D2,
+                        RegBound ? formatString(",r%u", RegBound).c_str()
+                                 : "");
+                    return runLaunches(C, {L}, Grid * D1, Grid * D2, Budget);
+                  });
 }
 
 SimResult PairRunner::runHFused(int D1, int D2, unsigned RegBound) {
   if (!Ready)
     return fail(Err);
   Status E;
-  SimResult R = runHFusedIn(Primary, D1, D2, RegBound, E, nullptr,
-                            StatsLevel::Full);
+  SimResult R = runHFusedIn(Primary, D1, D2, RegBound, E, nullptr);
   if (!R.Ok && !E.ok())
     Err = E.message();
   return R;
@@ -664,8 +526,7 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
   if (!Ready) {
     // A cancel that landed inside the constructor (input-kernel
     // compilation) is a request verdict, not an internal error.
-    SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status()
-                                     : Status(ErrorCode::Internal, Err);
+    SR.Err = Opts.Cancel.cancelled() ? Opts.Cancel.status() : InitStatus;
     SR.Error = SR.Err.message().empty() ? Err : SR.Err.message();
     return SR;
   }
@@ -918,8 +779,8 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
       Kept.push_back(I);
   std::vector<SearchStats> KeptStats(Kept.size());
 
-  // Measures Kept[K] under \p Budget cycles (0 = to completion).
-  auto Measure = [&](size_t K, uint64_t Budget) {
+  // Measures Kept[K] under \p Budget.
+  auto Measure = [&](size_t K, const RunBudget &Budget) {
     Candidate &C = Cands[Kept[K]];
     // Deterministic cancel point for the simulate phase (see the
     // compile-phase comment); Kept candidates are still unresolved, so
@@ -946,9 +807,11 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
           C.RegBound ? formatString("c%d %d/%d:r%u", C.Id, C.D1, C.D2,
                                     C.RegBound)
                      : formatString("c%d %d/%d", C.Id, C.D1, C.D2),
-          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu}",
+          formatString("{\"run\":\"%s\",\"cand\":%d,\"budget\":%llu,"
+                       "\"gated\":%s}",
                        SR.RunId.c_str(), C.Id,
-                       static_cast<unsigned long long>(Budget)));
+                       static_cast<unsigned long long>(Budget.Cycles),
+                       Budget.Gate && !Budget.Seed ? "true" : "false"));
     FusionCandidate FC;
     FC.Id = C.Id;
     FC.D1 = C.D1;
@@ -956,8 +819,11 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
     FC.RegBound = C.RegBound;
     Status E;
     FC.Result = runHFusedIn(*Ctx, C.D1, C.D2, C.RegBound, E, &KeptStats[K],
-                            Opts.SearchStats, Budget);
-    if (FC.Result.Ok) {
+                            Budget);
+    if (FC.Result.GateAborted) {
+      // Started alongside a seed that failed: no verdict (seedIncumbent
+      // forgets this candidate and measures it again).
+    } else if (FC.Result.Ok) {
       FC.TimeMs = FC.Result.TotalMs;
       FC.Cycles = FC.Result.TotalCycles;
       C.Measured = std::move(FC);
@@ -971,7 +837,7 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
       C.Skipped = true;
     } else if (FC.Result.BudgetExceeded) {
       C.Abandoned = true;
-      C.AbandonBudget = Budget;
+      C.AbandonBudget = Budget.effective();
       C.AbandonIssued = FC.Result.TotalIssued;
     } else if (C.Error.ok())
       // Pipeline failures arrive in E; simulation failures (deadlock,
@@ -985,12 +851,15 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
   // by a lower bound on their cycle count, the front-runner is
   // simulated to completion to seed the incumbent, and everything else
   // runs under CycleBudget = incumbent (margin-readmitted candidates
-  // under the tighter incumbent/(1+margin)). Whether a candidate
-  // completes or aborts depends only on its own true cycle count
-  // against a fixed budget, so results stay deterministic across
-  // SearchJobs — and Best is bit-identical to the unbudgeted sweep,
-  // because any candidate at or below the incumbent still completes
-  // with exact cycles while aborted ones were strictly worse.
+  // under the tighter incumbent/(1+margin)). The next candidates in
+  // line start alongside the seed, gated on its progress (see
+  // seedIncumbent), so they too run exactly as under that budget.
+  // Whether a candidate completes or aborts depends only on its own
+  // true cycle count against a fixed budget, so results stay
+  // deterministic across SearchJobs — and Best is bit-identical to the
+  // unbudgeted sweep, because any candidate at or below the incumbent
+  // still completes with exact cycles while aborted ones were strictly
+  // worse.
   const bool Budgeted = Opts.Budget != SearchBudgetMode::Off;
   const bool Tight = Opts.Budget == SearchBudgetMode::IncumbentTight;
   telemetry::TraceSpan SimPhaseSpan("phase", "simulate");
@@ -999,6 +868,28 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
   std::vector<size_t> Order(Kept.size());
   for (size_t I = 0; I < Order.size(); ++I)
     Order[I] = I;
+  // IncumbentTight: completed candidates publish their cycles into a
+  // shared minimum, so later candidates start under the best cycle
+  // count seen so far instead of the seed's. Every budget handed out
+  // is <= the plain-incumbent budget, and a candidate whose true
+  // cycles are <= the eventual Best always completes (its budget is
+  // always >= the running minimum >= its own cycles) — so Best stays
+  // bit-identical; the ledger is canonicalized after the sweep.
+  std::atomic<uint64_t> SharedIncumbent{0};
+  // Measures Order[Pos]; returns its cycles, 0 when not measured.
+  auto MeasureAt = [&](size_t Pos, const RunBudget &Budget) -> uint64_t {
+    Measure(Order[Pos], Budget);
+    const Candidate &C = Cands[Kept[Order[Pos]]];
+    if (!C.Measured)
+      return 0;
+    const uint64_t Cycles = C.Measured->Cycles;
+    uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
+    while (Tight && (Cur == 0 || Cycles < Cur) &&
+           !SharedIncumbent.compare_exchange_weak(Cur, Cycles,
+                                                  std::memory_order_relaxed))
+      ;
+    return Cycles;
+  };
   if (Budgeted && !Kept.empty()) {
     // Occupancy/issue-width lower bound. The grid drains in
     // ceil(Grid / (BlocksPerSM * SimSMs)) occupancy waves, and a wave
@@ -1048,20 +939,22 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
     std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
       const Candidate &CA = Cands[Kept[A]], &CB = Cands[Kept[B]];
       // Margin-readmitted candidates are presumed slow: never seed
-      // the incumbent from one.
+      // the incumbent from one (nor start one before the incumbent is
+      // known).
       if (CA.MarginReadmit != CB.MarginReadmit)
         return CB.MarginReadmit;
       return Bound[A] < Bound[B];
     });
-    while (Seeded < Order.size()) {
-      size_t K = Order[Seeded++];
-      Measure(K, 0);
-      if (Cands[Kept[K]].Measured) {
-        Incumbent = Cands[Kept[K]].Measured->Cycles;
-        break;
-      }
-      // Seed candidate failed outright; try the next-best one.
-    }
+    Incumbent = seedIncumbent(
+        Pool.get(), Order.size(), Seeded,
+        [&](size_t Pos) { return !Cands[Kept[Order[Pos]]].MarginReadmit; },
+        MeasureAt, [&](size_t Pos) {
+          Candidate &C = Cands[Kept[Order[Pos]]];
+          C.Skipped = C.Abandoned = false;
+          C.Error = Status();
+          C.Measured.reset();
+          KeptStats[Order[Pos]] = SearchStats();
+        });
   }
   auto MarginOf = [&](uint64_t Inc) -> uint64_t {
     return Inc == 0
@@ -1072,30 +965,14 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
                             (1.0 +
                              std::max(0.0, Opts.BudgetMarginPct) / 100.0)));
   };
-  // IncumbentTight: completed candidates publish their cycles into a
-  // shared minimum, so later candidates start under the best cycle
-  // count seen so far instead of the seed's. Every budget handed out
-  // is <= the plain-incumbent budget, and a candidate whose true
-  // cycles are <= the eventual Best always completes (its budget is
-  // always >= the running minimum >= its own cycles) — so Best stays
-  // bit-identical; the ledger is canonicalized after the sweep.
-  std::atomic<uint64_t> SharedIncumbent{Incumbent};
   parallelFor(Pool.get(), Kept.size() - Seeded, [&](size_t I) {
-    size_t K = Order[Seeded + I];
     uint64_t Budget = 0;
     const uint64_t Inc =
         Tight ? SharedIncumbent.load(std::memory_order_relaxed) : Incumbent;
     if (Budgeted && Inc != 0)
-      Budget = Cands[Kept[K]].MarginReadmit ? MarginOf(Inc) : Inc;
-    Measure(K, Budget);
-    if (Tight && Cands[Kept[K]].Measured) {
-      uint64_t Cycles = Cands[Kept[K]].Measured->Cycles;
-      uint64_t Cur = SharedIncumbent.load(std::memory_order_relaxed);
-      while ((Cur == 0 || Cycles < Cur) &&
-             !SharedIncumbent.compare_exchange_weak(
-                 Cur, Cycles, std::memory_order_relaxed))
-        ;
-    }
+      Budget = Cands[Kept[Order[Seeded + I]]].MarginReadmit ? MarginOf(Inc)
+                                                            : Inc;
+    MeasureAt(Seeded + I, {Budget});
   });
   SimPhaseSpan.finish();
 
@@ -1254,29 +1131,6 @@ SearchResult PairRunner::searchBestConfig(bool NaiveEvenSplit) {
       });
   SR.Ok = true;
 
-  // The sweep ranked candidates on timing-only stats; re-profile the
-  // winner at Full so Best carries the complete nvprof-style metrics
-  // (stall shares, occupancy, traffic). Cycle counts are identical by
-  // construction — tests/GoldenSimTest.cpp enforces it.
-  // A cancelled request skips the upgrade: the incumbent's minimal
-  // stats are already correct, and the re-profile would burn a full
-  // simulation after the caller asked us to stop.
-  if (Opts.SearchStats != gpusim::StatsLevel::Full &&
-      !Opts.Cancel.cancelled()) {
-    std::string CtxErr;
-    if (SimContext *Ctx = acquireContext(CtxErr)) {
-      Status E;
-      SimResult R = runHFusedIn(*Ctx, SR.Best.D1, SR.Best.D2,
-                                SR.Best.RegBound, E, nullptr,
-                                gpusim::StatsLevel::Full);
-      releaseContext(Ctx);
-      if (R.Ok) {
-        SR.Best.Cycles = R.TotalCycles;
-        SR.Best.TimeMs = R.TotalMs;
-        SR.Best.Result = std::move(R);
-      }
-    }
-  }
   return SR;
 }
 

@@ -57,7 +57,11 @@
 /// the most promising one is simulated to completion to seed the
 /// incumbent, and every other candidate runs under
 /// SimConfig::CycleBudget = incumbent — the simulator abandons it the
-/// moment its elapsed cycles provably exceed the incumbent's. This is
+/// moment its elapsed cycles provably exceed the incumbent's. The next
+/// SearchJobs - 1 candidates start alongside the seed, gated on its
+/// progress so that they run exactly as under that budget
+/// (seedIncumbent in SearchCommon.h). Every candidate is profiled once,
+/// at full stats; Best.Result is the winner's own sweep run. This is
 /// exactly result-preserving: a candidate abandoned at the budget has
 /// strictly more cycles than the incumbent, so it can never be Best,
 /// and every candidate whose cycles are <= the incumbent (including
@@ -100,6 +104,7 @@
 #include "gpusim/Simulator.h"
 #include "kernels/Workload.h"
 #include "profile/Compile.h"
+#include "profile/SearchCommon.h"
 #include "profile/SearchOptions.h"
 #include "support/Status.h"
 
@@ -257,6 +262,9 @@ public:
 
   bool ok() const { return Ready; }
   const std::string &error() const { return Err; }
+  /// Why construction failed (Ok when ok()): InvalidArgument naming
+  /// the field for unusable options (see checkSearchOptions).
+  const Status &status() const { return InitStatus; }
 
   kernels::BenchKernelId kernelId(int Which) const {
     return Which == 0 ? IdA : IdB;
@@ -337,22 +345,18 @@ private:
                                            unsigned RegBound,
                                            uint32_t &DynShared, Status &Err);
 
-  /// \p CycleBudget of 0 runs to completion; otherwise the simulation
-  /// is abandoned (SimResult::BudgetExceeded) once its cycles provably
-  /// exceed the budget. An abort is served from the memo only to
-  /// callers whose budget is at least as tight as the stored abort's;
-  /// a later run under a looser (or no) budget retires the entry and
-  /// re-simulates instead of replaying the cutoff.
+  /// Full-stats simulation of one fused candidate through SimMemo.
+  /// An unlimited \p Budget runs to completion; otherwise the
+  /// simulation is abandoned (SimResult::BudgetExceeded) once its
+  /// cycles provably exceed the budget.
   gpusim::SimResult runHFusedIn(SimContext &C, int D1, int D2,
                                 unsigned RegBound, Status &Err,
                                 SearchStats *Stats,
-                                gpusim::StatsLevel Level,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {});
   gpusim::SimResult runLaunches(SimContext &C,
                                 const std::vector<gpusim::KernelLaunch> &L,
                                 int Threads1, int Threads2,
-                                gpusim::StatsLevel Level,
-                                uint64_t CycleBudget = 0);
+                                const gpusim::RunBudget &Budget = {});
   std::optional<unsigned> figure6RegBoundImpl(int D1, int D2, Status &Err);
   int commonGrid() const;
 
@@ -368,6 +372,7 @@ private:
   Options Opts;
   bool Ready = false;
   std::string Err;
+  Status InitStatus;
 
   std::shared_ptr<CompileCache> Cache;
   std::shared_ptr<const CompiledKernel> K1, K2;
@@ -387,25 +392,8 @@ private:
       FusionCache;
   std::mutex FusionCacheMu;
 
-  /// Memoized simulation results keyed on the exact launch: same IR
-  /// object, grid, block shape, and stats level replay the stored
-  /// result. Entries are shared futures so concurrent workers
-  /// requesting the same launch block on the first runner instead of
-  /// simulating twice. A BudgetExceeded result stays memoized — its
-  /// verdict is deterministic for any caller at least as tight — and
-  /// is retired lazily by the first caller that needs more simulation
-  /// (no budget, or a looser one). A fault-injected failure
-  /// (SimResult::FaultInjected) is retired eagerly by its own runner
-  /// before the result is published — waiters see the failure, later
-  /// requests re-simulate. Deterministic failures (OOB, genuine
-  /// deadlock) stay memoized: replaying them is correct and cheap.
-  /// The shared_ptr wrapper gives entries identity, so that
-  /// retirement can no-op when a concurrent retirement already
-  /// installed a fresh runner's entry.
-  std::map<std::tuple<const ir::IRKernel *, int, int, uint32_t, int>,
-           std::shared_ptr<std::shared_future<gpusim::SimResult>>>
-      SimMemo;
-  std::mutex SimMemoMu;
+  /// Memoized candidate simulations (see SimMemo).
+  SimMemo Memo;
 };
 
 } // namespace hfuse::profile

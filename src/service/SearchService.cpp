@@ -95,14 +95,13 @@ std::string SearchService::fingerprint(const SearchRequest &R) {
   for (kernels::BenchKernelId Id : R.Kernels)
     Kernels += formatString("%d+", static_cast<int>(Id));
   return formatString(
-      "[%s]%d+%d|n%d|%s|sms%d|s%.6f/%.6f|v%d|pb%d|l2%d|st%d|seed%u|j%d|p%d|"
+      "[%s]%d+%d|n%d|%s|sms%d|s%.6f/%.6f|v%d|pb%d|l2%d|seed%u|j%d|p%d|"
       "b%d|m%.4f|mb%d|w%llu|t%llu|c%d|$%p",
       Kernels.c_str(), static_cast<int>(R.A), static_cast<int>(R.B),
       R.NaiveEvenSplit ? 1 : 0, O.Arch.Name.c_str(), O.SimSMs, O.Scale1,
       O.Scale2, O.Verify ? 1 : 0, O.UsePartialBarriers ? 1 : 0,
-      O.ModelL2 ? 1 : 0, static_cast<int>(O.SearchStats), O.Seed,
-      O.SearchJobs, O.PruneLevel, static_cast<int>(O.Budget),
-      O.BudgetMarginPct, O.MeasuredBound ? 1 : 0,
+      O.ModelL2 ? 1 : 0, O.Seed, O.SearchJobs, O.PruneLevel,
+      static_cast<int>(O.Budget), O.BudgetMarginPct, O.MeasuredBound ? 1 : 0,
       static_cast<unsigned long long>(O.WatchdogCycles),
       static_cast<unsigned long long>(O.WallTimeoutMs),
       O.UseCompileCache ? 1 : 0, static_cast<const void *>(O.Cache.get()));
@@ -127,9 +126,7 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
     NO.Scale = RO.Scale1;
     profile::NWayRunner Runner(R.Kernels, std::move(NO));
     if (!Runner.ok()) {
-      Out.Search.Err = Token.cancelled()
-                           ? Token.status()
-                           : Status(ErrorCode::Internal, Runner.error());
+      Out.Search.Err = Token.cancelled() ? Token.status() : Runner.status();
       Out.Search.Error = Runner.error();
       return Out;
     }
@@ -154,10 +151,9 @@ SearchOutcome SearchService::execute(const SearchRequest &R,
   profile::PairRunner Runner(R.A, R.B, std::move(RO));
   if (!Runner.ok()) {
     // A cancel that landed during input-kernel compilation is a
-    // request verdict; anything else is a genuine setup failure.
-    Out.Search.Err = Token.cancelled()
-                         ? Token.status()
-                         : Status(ErrorCode::Internal, Runner.error());
+    // request verdict; anything else is a setup failure with its cause
+    // (e.g. InvalidArgument for an unusable GpuArch).
+    Out.Search.Err = Token.cancelled() ? Token.status() : Runner.status();
     Out.Search.Error = Runner.error();
     return Out;
   }

@@ -44,6 +44,8 @@ const char *hfuse::errorCodeName(ErrorCode Code) {
     return "DeadlineExceeded";
   case ErrorCode::QueueFull:
     return "QueueFull";
+  case ErrorCode::InvalidArgument:
+    return "InvalidArgument";
   case ErrorCode::Internal:
     return "Internal";
   }

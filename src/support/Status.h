@@ -50,6 +50,7 @@ enum class ErrorCode : uint8_t {
   Cancelled,         ///< the request's cancellation token fired
   DeadlineExceeded,  ///< the request's deadline passed mid-flight
   QueueFull,         ///< admission control rejected the request
+  InvalidArgument,   ///< a caller-supplied option is unusable
   Internal,          ///< invariant violation; a bug, not an input error
 };
 

@@ -21,8 +21,9 @@
 ///    V100 split-pipe arch, and the round-robin scheduler policy.
 ///
 /// It also asserts StatsLevel::Minimal reproduces the same cycle
-/// counts as Full — the guarantee that lets the Figure 6 search sweep
-/// run with profiling compiled out.
+/// counts as Full, that the search's winner carries exactly the
+/// profile of a direct Full run, and that a CycleGate follower is
+/// bit-identical to a run budgeted at the seed's cycles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <random>
+#include <thread>
 
 using namespace hfuse;
 using namespace hfuse::gpusim;
@@ -175,7 +179,8 @@ struct MicroResult {
 };
 
 MicroResult runMicro(const MicroGolden &G, StatsLevel Level,
-                     uint64_t CycleBudget = 0) {
+                     uint64_t CycleBudget = 0,
+                     const RunBudget *Gated = nullptr) {
   MicroResult Out;
   auto K = compileMicro(G.Src);
   if (!K)
@@ -197,7 +202,7 @@ MicroResult runMicro(const MicroGolden &G, StatsLevel Level,
   L.Params = {A};
   if (G.N)
     L.Params.push_back(static_cast<uint64_t>(G.N));
-  Out.R = Sim.run({L}, Level);
+  Out.R = Gated ? Sim.run({L}, Level, *Gated) : Sim.run({L}, Level);
   if (!Out.R.Ok)
     return Out;
   uint64_t Sum = 0;
@@ -464,36 +469,183 @@ TEST(GoldenSim, PerRunBudgetOverridesConfig) {
   EXPECT_EQ(Cut.TotalCycles, 10u);
 }
 
-TEST(GoldenSim, MinimalSweepFindsSameWinnerAsFullSweep) {
-  // The search default (Minimal-stats sweep + Full-stats winner
-  // restatement) must agree with an all-Full sweep candidate for
-  // candidate.
-  PairRunner::Options MinOpts = goldenOptions();
-  MinOpts.Scale1 = MinOpts.Scale2 = 0.2;
-  PairRunner RMin(BenchKernelId::Batchnorm, BenchKernelId::Hist, MinOpts);
-  ASSERT_TRUE(RMin.ok()) << RMin.error();
-  SearchResult SMin = RMin.searchBestConfig();
-  ASSERT_TRUE(SMin.Ok) << SMin.Error;
+/// Every SimResult field a profile reports, for bit-identity checks.
+void expectSameProfile(const SimResult &A, const SimResult &B) {
+  EXPECT_EQ(A.Ok, B.Ok);
+  EXPECT_EQ(A.TotalCycles, B.TotalCycles);
+  EXPECT_EQ(A.TotalIssued, B.TotalIssued);
+  EXPECT_EQ(A.TotalMs, B.TotalMs);
+  EXPECT_EQ(A.DeviceIssueSlotUtilPct, B.DeviceIssueSlotUtilPct);
+  EXPECT_EQ(A.DeviceMemStallPct, B.DeviceMemStallPct);
+  EXPECT_EQ(A.DeviceOccupancyPct, B.DeviceOccupancyPct);
+  for (size_t R = 0; R < 6; ++R)
+    EXPECT_EQ(A.StallSharePct[R], B.StallSharePct[R]) << "stall " << R;
+  ASSERT_EQ(A.Kernels.size(), B.Kernels.size());
+  for (size_t K = 0; K < A.Kernels.size(); ++K) {
+    EXPECT_EQ(A.Kernels[K].ElapsedCycles, B.Kernels[K].ElapsedCycles);
+    EXPECT_EQ(A.Kernels[K].IssuedInsts, B.Kernels[K].IssuedInsts);
+    EXPECT_EQ(A.Kernels[K].IssueSlotUtilPct, B.Kernels[K].IssueSlotUtilPct);
+    EXPECT_EQ(A.Kernels[K].AchievedOccupancyPct,
+              B.Kernels[K].AchievedOccupancyPct);
+    EXPECT_EQ(A.Kernels[K].GlobalSectors, B.Kernels[K].GlobalSectors);
+  }
+}
 
-  PairRunner::Options FullOpts = MinOpts;
-  FullOpts.SearchStats = StatsLevel::Full;
-  PairRunner RFull(BenchKernelId::Batchnorm, BenchKernelId::Hist,
-                   FullOpts);
-  ASSERT_TRUE(RFull.ok()) << RFull.error();
-  SearchResult SFull = RFull.searchBestConfig();
-  ASSERT_TRUE(SFull.Ok) << SFull.Error;
+TEST(GoldenSim, SweepWinnerProfileMatchesDirectFullRun) {
+  // The sweep profiles every candidate once, at Full stats — including
+  // runs started alongside the incumbent seed under a CycleGate — so
+  // Best.Result must be exactly what a direct Full runHFused of the
+  // winner reports, with no re-profile in between.
+  for (SearchBudgetMode Mode :
+       {SearchBudgetMode::Off, SearchBudgetMode::Incumbent}) {
+    for (int Jobs : {1, 4}) {
+      SCOPED_TRACE(std::string(searchBudgetModeName(Mode)) +
+                   " jobs=" + std::to_string(Jobs));
+      PairRunner::Options Opts = goldenOptions();
+      Opts.Scale1 = Opts.Scale2 = 0.2;
+      Opts.Budget = Mode;
+      Opts.SearchJobs = Jobs;
+      PairRunner Search(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
+      ASSERT_TRUE(Search.ok()) << Search.error();
+      SearchResult SR = Search.searchBestConfig();
+      ASSERT_TRUE(SR.Ok) << SR.Error;
+      EXPECT_GT(SR.Best.Result.DeviceIssueSlotUtilPct, 0.0);
+      EXPECT_GT(SR.Best.Result.DeviceOccupancyPct, 0.0);
 
-  EXPECT_EQ(SMin.Best.D1, SFull.Best.D1);
-  EXPECT_EQ(SMin.Best.D2, SFull.Best.D2);
-  EXPECT_EQ(SMin.Best.RegBound, SFull.Best.RegBound);
-  EXPECT_EQ(SMin.Best.Cycles, SFull.Best.Cycles);
-  ASSERT_EQ(SMin.All.size(), SFull.All.size());
-  for (size_t I = 0; I < SMin.All.size(); ++I)
-    EXPECT_EQ(SMin.All[I].Cycles, SFull.All[I].Cycles) << "candidate " << I;
-  // The Minimal sweep's winner was re-profiled at Full: its Best result
-  // carries complete metrics even though the sweep skipped them.
-  EXPECT_GT(SMin.Best.Result.DeviceIssueSlotUtilPct, 0.0);
-  EXPECT_GT(SMin.Best.Result.DeviceOccupancyPct, 0.0);
+      // A fresh runner: its memo cannot serve the sweep's result.
+      PairRunner Direct(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
+      ASSERT_TRUE(Direct.ok()) << Direct.error();
+      SimResult R = Direct.runHFused(SR.Best.D1, SR.Best.D2, SR.Best.RegBound);
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(SR.Best.Cycles, R.TotalCycles);
+      expectSameProfile(SR.Best.Result, R);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// CycleGate: a gated follower is bit-identical to a run budgeted at the
+// incumbent, however the seed's floor advances.
+//===----------------------------------------------------------------------===//
+
+/// Plays an incumbent seed finishing at \p Incumbent cycles: raises
+/// \p Gate's floor toward it in seeded random steps with random pauses
+/// (so the follower blocks at varying points), then resolves.
+std::thread fakeSeed(CycleGate &Gate, uint64_t Incumbent, uint32_t Seed) {
+  return std::thread([&Gate, Incumbent, Seed] {
+    std::mt19937_64 Rng(Seed);
+    const uint64_t MaxStep = std::max<uint64_t>(1, Incumbent / 6);
+    for (uint64_t Floor = 1; Floor < Incumbent;
+         Floor += 1 + Rng() % MaxStep) {
+      Gate.raiseFloor(Floor);
+      std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 300));
+    }
+    Gate.resolve(Incumbent);
+  });
+}
+
+/// The incumbents a follower of a run with \p Cycles true cycles is
+/// checked against: exact, just below and above, far below and above.
+std::vector<uint64_t> probeIncumbents(uint64_t Cycles) {
+  return {Cycles, Cycles - 1, Cycles + 37, Cycles / 2, 3 * Cycles};
+}
+
+void expectSameVerdict(const SimResult &Gated, const SimResult &Ref) {
+  EXPECT_FALSE(Gated.GateAborted);
+  EXPECT_EQ(Gated.BudgetExceeded, Ref.BudgetExceeded);
+  expectSameProfile(Gated, Ref);
+}
+
+TEST(GoldenSim, GatedFollowerMatchesBudgetedRunOnMicroKernels) {
+  for (const MicroGolden &G : MicroGoldens) {
+    for (uint64_t Incumbent : probeIncumbents(G.Cycles)) {
+      MicroResult Ref = runMicro(G, StatsLevel::Full, Incumbent);
+      for (uint32_t Seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(std::string(G.Name) + " incumbent " +
+                     std::to_string(Incumbent) + " seed " +
+                     std::to_string(Seed));
+        CycleGate Gate;
+        RunBudget Follow{0, &Gate, /*Seed=*/false};
+        std::thread S = fakeSeed(Gate, Incumbent, Seed);
+        MicroResult M = runMicro(G, StatsLevel::Full, 0, &Follow);
+        S.join();
+        expectSameVerdict(M.R, Ref.R);
+        EXPECT_EQ(M.Checksum, Ref.Checksum);
+      }
+    }
+  }
+}
+
+/// The unfused pair A+B launched concurrently (two streams) at test
+/// scale, under \p Budget.
+SimResult runPairLaunches(BenchKernelId A, BenchKernelId B,
+                          const RunBudget &Budget) {
+  DiagnosticEngine Diags;
+  auto K1 = compileBenchKernel(A, 0, Diags);
+  auto K2 = compileBenchKernel(B, 0, Diags);
+  if (!K1 || !K2)
+    return SimResult();
+  SimConfig SC;
+  SC.Arch = makeGTX1080Ti();
+  SC.SimSMs = 2;
+  Simulator Sim(SC);
+  std::vector<KernelLaunch> Ls;
+  std::vector<std::unique_ptr<Workload>> Ws;
+  for (auto [Id, K] : {std::pair(A, K1.get()), std::pair(B, K2.get())}) {
+    WorkloadConfig WC;
+    WC.SizeScale = 0.2;
+    WC.SimSMs = 2;
+    Ws.push_back(makeWorkload(Id, WC));
+    Ws.back()->setup(Sim);
+    KernelLaunch L;
+    L.Kernel = K->IR.get();
+    L.GridDim = Ws.back()->preferredGrid();
+    L.BlockDim = Ws.back()->preferredBlock();
+    L.BlockDimY = Ws.back()->preferredBlockY();
+    L.DynSharedBytes = Ws.back()->dynSharedBytes();
+    L.Params = Ws.back()->params();
+    Ls.push_back(L);
+  }
+  return Sim.run(Ls, StatsLevel::Full, Budget);
+}
+
+TEST(GoldenSim, GatedFollowerMatchesBudgetedRunOnPairs) {
+  const std::pair<BenchKernelId, BenchKernelId> Pairs[] = {
+      {BenchKernelId::Hist, BenchKernelId::Maxpool},
+      {BenchKernelId::Blake256, BenchKernelId::SHA256}};
+  for (auto [A, B] : Pairs) {
+    SimResult Full = runPairLaunches(A, B, {});
+    ASSERT_TRUE(Full.Ok) << Full.Error;
+    for (uint64_t Incumbent : {Full.TotalCycles, Full.TotalCycles / 2}) {
+      SCOPED_TRACE(std::string(kernelDisplayName(A)) + "+" +
+                   kernelDisplayName(B) + " incumbent " +
+                   std::to_string(Incumbent));
+      SimResult Ref = runPairLaunches(A, B, {Incumbent});
+      CycleGate Gate;
+      std::thread S = fakeSeed(Gate, Incumbent, 7);
+      SimResult Got = runPairLaunches(A, B, {0, &Gate, /*Seed=*/false});
+      S.join();
+      expectSameVerdict(Got, Ref);
+    }
+  }
+}
+
+TEST(GoldenSim, GatedFollowerOfAFailedSeedHasNoVerdict) {
+  // The seed never gets past cycle 0 and fails: the follower stops
+  // before simulating anything and reports GateAborted.
+  CycleGate Gate;
+  std::thread S([&Gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    Gate.abort();
+  });
+  RunBudget Follow{0, &Gate, /*Seed=*/false};
+  MicroResult M = runMicro(MicroGoldens[0], StatsLevel::Full, 0, &Follow);
+  S.join();
+  EXPECT_FALSE(M.R.Ok);
+  EXPECT_TRUE(M.R.GateAborted);
+  EXPECT_FALSE(M.R.BudgetExceeded);
+  EXPECT_EQ(M.R.TotalCycles, 0u);
+  EXPECT_EQ(M.R.TotalIssued, 0u);
 }
 
 } // namespace

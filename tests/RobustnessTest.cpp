@@ -536,6 +536,69 @@ INSTANTIATE_TEST_SUITE_P(AllPaperPairs, FaultInjectedSearch,
 // Watchdog plumbed through the search options
 //===----------------------------------------------------------------------===//
 
+TEST(Robustness, FailedIncumbentSeedLeavesItsFollowersOutOfTheLedger) {
+  // Learn which candidate seeds the incumbent: the one whose cycles the
+  // budget came from.
+  auto Search = [](int Jobs, std::shared_ptr<CompileCache> Cache) {
+    PairRunner::Options Opts = quickOptions();
+    Opts.Budget = SearchBudgetMode::Incumbent;
+    Opts.SearchJobs = Jobs;
+    Opts.Cache = std::move(Cache);
+    PairRunner R(BenchKernelId::Batchnorm, BenchKernelId::Hist, Opts);
+    EXPECT_TRUE(R.ok()) << R.error();
+    return R.searchBestConfig();
+  };
+  SearchResult Clean = Search(1, std::make_shared<CompileCache>());
+  ASSERT_TRUE(Clean.Ok) << Clean.Error;
+  const FusionCandidate *Seed = nullptr;
+  for (const FusionCandidate &C : Clean.All)
+    if (C.Cycles == Clean.Stats.IncumbentCycles)
+      Seed = &C;
+  ASSERT_NE(Seed, nullptr);
+
+  // Wedge every run of the seed. At SearchJobs 4 the candidates started
+  // alongside it are aborted when it fails, forgotten, and measured
+  // again behind the next seed — exactly the serial retry, so the
+  // ledger, the counts and the simulator runs all match SearchJobs 1.
+  InjectorGuard G;
+  arm(Seed->RegBound
+          ? formatString("sim-wedge:label=,%d/%d,r%u)", Seed->D1, Seed->D2,
+                         Seed->RegBound)
+          : formatString("sim-wedge:label=,%d/%d)", Seed->D1, Seed->D2));
+  auto SerialCache = std::make_shared<CompileCache>();
+  auto ParallelCache = std::make_shared<CompileCache>();
+  SearchResult Serial = Search(1, SerialCache);
+  SearchResult Parallel = Search(4, ParallelCache);
+  for (const SearchResult *SR : {&Serial, &Parallel}) {
+    ASSERT_TRUE(SR->Ok) << SR->Error;
+    ASSERT_EQ(SR->Failed.size(), 1u);
+    EXPECT_EQ(SR->Failed[0].D1, Seed->D1);
+    EXPECT_EQ(SR->Failed[0].RegBound, Seed->RegBound);
+    EXPECT_EQ(SR->Failed[0].Err.code(), ErrorCode::SimDeadlock);
+  }
+  EXPECT_NE(Parallel.Stats.IncumbentCycles, Clean.Stats.IncumbentCycles);
+  EXPECT_EQ(Parallel.Stats.IncumbentCycles, Serial.Stats.IncumbentCycles);
+  ASSERT_EQ(Parallel.All.size(), Serial.All.size());
+  for (size_t I = 0; I < Serial.All.size(); ++I) {
+    EXPECT_EQ(Parallel.All[I].Id, Serial.All[I].Id);
+    EXPECT_EQ(Parallel.All[I].Cycles, Serial.All[I].Cycles);
+  }
+  ASSERT_EQ(Parallel.Abandoned.size(), Serial.Abandoned.size());
+  for (size_t I = 0; I < Serial.Abandoned.size(); ++I) {
+    EXPECT_EQ(Parallel.Abandoned[I].Id, Serial.Abandoned[I].Id);
+    EXPECT_EQ(Parallel.Abandoned[I].BudgetCycles,
+              Serial.Abandoned[I].BudgetCycles);
+    EXPECT_EQ(Parallel.Abandoned[I].IssuedInsts,
+              Serial.Abandoned[I].IssuedInsts);
+  }
+  EXPECT_EQ(Parallel.Stats.Candidates, Serial.Stats.Candidates);
+  EXPECT_EQ(Parallel.Stats.Simulations, Serial.Stats.Simulations);
+  EXPECT_EQ(Parallel.Stats.MemoHits, Serial.Stats.MemoHits);
+  EXPECT_EQ(Parallel.Stats.SimulatedInsts, Serial.Stats.SimulatedInsts);
+  EXPECT_EQ(Parallel.Stats.AbandonedInsts, Serial.Stats.AbandonedInsts);
+  EXPECT_EQ(ParallelCache->stats().SimRuns, SerialCache->stats().SimRuns);
+}
+
 TEST(Robustness, RunnerWatchdogOptionsAreWiredThrough) {
   InjectorGuard G;
   // With the wedge armed for every simulation of this partition and the

@@ -18,9 +18,17 @@
 /// exhaustive candidates above the incumbent, and the accounting
 /// (measured + pruned + abandoned = enumerated) closes.
 ///
+/// The whole Incumbent-mode ledger — Best, All, every abandonment's
+/// budget and issued count, and the simulated/abandoned instruction
+/// totals — is also pinned, at SearchJobs 1 and 4, to values captured
+/// before the simulate phase started candidates alongside the
+/// incumbent seed and stopped re-profiling the winner: neither change
+/// may move a single count.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "profile/NWayRunner.h"
 #include "profile/PairRunner.h"
 
 #include <gtest/gtest.h>
@@ -73,6 +81,145 @@ SearchResult runSearch(const BenchPair &P, SearchBudgetMode Budget,
   SearchResult SR = R.searchBestConfig();
   EXPECT_TRUE(SR.Ok) << SR.Error;
   return SR;
+}
+
+/// One line per ledger: "best D:rB=C; all ...; abandoned D:rB@budget#
+/// issued ...; insts simulated/abandoned", with D the partition sizes.
+template <class Result, class DimsOf>
+std::string ledger(const Result &R, DimsOf Dims) {
+  auto Cand = [&](const auto &C) {
+    return Dims(C) + ":r" + std::to_string(C.RegBound);
+  };
+  std::string S = "best " + Cand(R.Best) + "=" +
+                  std::to_string(R.Best.Cycles) + "; all";
+  for (const auto &C : R.All)
+    S += " " + Cand(C) + "=" + std::to_string(C.Cycles);
+  S += "; abandoned";
+  for (const auto &A : R.Abandoned)
+    S += " " + Cand(A) + "@" + std::to_string(A.BudgetCycles) + "#" +
+         std::to_string(A.IssuedInsts);
+  return S + "; insts " + std::to_string(R.Stats.SimulatedInsts) + "/" +
+         std::to_string(R.Stats.AbandonedInsts);
+}
+
+std::string pairLedger(const SearchResult &R) {
+  return ledger(R, [](const auto &C) {
+    return std::to_string(C.D1) + "/" + std::to_string(C.D2);
+  });
+}
+
+/// Incumbent-mode ledgers of the 16 paper pairs under quickOptions().
+const std::map<std::string, std::string> &pinnedLedgers() {
+  static const std::map<std::string, std::string> Pins = {
+    {"Batchnorm_Upsample",
+     "best 512/512:r32=153182; all 384/640:r32=158211 512/512:r32=153182 "
+     "640/384:r32=161091; abandoned 128/896:r0@161091#190960 "
+     "128/896:r32@161091#392730 256/768:r0@161091#354418 "
+     "256/768:r32@161091#641662 384/640:r0@161091#484173 "
+     "512/512:r0@161091#601518 640/384:r0@161091#602440 "
+     "768/256:r0@161091#461474 768/256:r32@161091#797785 "
+     "896/128:r0@161091#286306 896/128:r32@161091#521046; insts "
+     "7960496/5334512"},
+    {"Batchnorm_Hist",
+     "best 896/128:r0=192989; all 512/512:r32=198067 640/384:r0=201174 "
+     "640/384:r32=197621 768/256:r0=200690 768/256:r32=208672 "
+     "896/128:r0=192989; abandoned 128/896:r0@208672#158958 "
+     "128/896:r32@208672#285683 256/768:r0@208672#289048 "
+     "256/768:r32@208672#486056 384/640:r0@208672#412534 "
+     "384/640:r32@208672#654188 512/512:r0@208672#542644 "
+     "896/128:r32@208672#1079030; insts 8619965/3908141"},
+    {"Batchnorm_Im2Col",
+     "best 512/512:r32=152542; all 512/512:r32=152542 "
+     "640/384:r32=158988; abandoned 128/896:r0@158988#261664 "
+     "128/896:r32@158988#443906 256/768:r0@158988#406966 "
+     "256/768:r32@158988#681031 384/640:r0@158988#499726 "
+     "384/640:r32@158988#864571 512/512:r0@158988#641292 "
+     "640/384:r0@158988#712187 768/256:r0@158988#760224 "
+     "768/256:r32@158988#1083459 896/128:r0@158988#449898 "
+     "896/128:r32@158988#725260; insts 9483080/7530184"},
+    {"Batchnorm_Maxpool",
+     "best 640/384:r32=139365; all 640/384:r32=139365; abandoned "
+     "128/896:r0@139365#149989 128/896:r32@139365#260559 "
+     "256/768:r0@139365#249492 256/768:r32@139365#400889 "
+     "384/640:r0@139365#333016 384/640:r32@139365#542753 "
+     "512/512:r0@139365#409000 512/512:r32@139365#672636 "
+     "640/384:r0@139365#470789 768/256:r0@139365#368644 "
+     "768/256:r32@139365#701355 896/128:r0@139365#265567 "
+     "896/128:r32@139365#505253; insts 6080854/5329942"},
+    {"Hist_Im2Col",
+     "best 256/768:r32=73975; all 256/768:r32=73975 384/640:r32=83343; "
+     "abandoned 128/896:r0@83343#362006 128/896:r32@83343#500930 "
+     "256/768:r0@83343#416190 384/640:r0@83343#350419 "
+     "512/512:r0@83343#331631 512/512:r32@83343#460182 "
+     "640/384:r0@83343#282707 640/384:r32@83343#415723 "
+     "768/256:r0@83343#207795 768/256:r32@83343#327897 "
+     "896/128:r0@83343#117007 896/128:r32@83343#216317; insts "
+     "4998948/3988804"},
+    {"Hist_Maxpool",
+     "best 384/640:r32=74411; all 384/640:r32=74411; abandoned "
+     "128/896:r0@74411#136619 128/896:r32@74411#187169 "
+     "256/768:r0@74411#130920 256/768:r32@74411#196588 "
+     "384/640:r0@74411#122648 512/512:r0@74411#114904 "
+     "512/512:r32@74411#205402 640/384:r0@74411#99705 "
+     "640/384:r32@74411#171227 768/256:r0@74411#66021 "
+     "768/256:r32@74411#140555 896/128:r0@74411#44341 "
+     "896/128:r32@74411#88775; insts 1947450/1704874"},
+    {"Hist_Upsample",
+     "best 128/896:r32=81347; all 128/896:r32=81347 256/768:r32=85196 "
+     "384/640:r32=93461; abandoned 128/896:r0@93461#312049 "
+     "256/768:r0@93461#306751 384/640:r0@93461#260102 "
+     "512/512:r0@93461#229792 512/512:r32@93461#402032 "
+     "640/384:r0@93461#178000 640/384:r32@93461#340941 "
+     "768/256:r0@93461#130656 768/256:r32@93461#242583 "
+     "896/128:r0@93461#73800 896/128:r32@93461#142563; insts "
+     "3959861/2619269"},
+    {"Im2Col_Maxpool",
+     "best 512/512:r32=107136; all 512/512:r32=107136; abandoned "
+     "128/896:r0@107136#175632 128/896:r32@107136#297844 "
+     "256/768:r0@107136#307448 256/768:r32@107136#448769 "
+     "384/640:r0@107136#370485 384/640:r32@107136#549920 "
+     "512/512:r0@107136#366444 640/384:r0@107136#328305 "
+     "640/384:r32@107136#586982 768/256:r0@107136#209324 "
+     "768/256:r32@107136#450424 896/128:r0@107136#157277 "
+     "896/128:r32@107136#317027; insts 5151129/4565881"},
+    {"Im2Col_Upsample",
+     "best 512/512:r32=121525; all 512/512:r32=121525; abandoned "
+     "128/896:r0@121525#224594 128/896:r32@121525#389785 "
+     "256/768:r0@121525#419762 256/768:r32@121525#637737 "
+     "384/640:r0@121525#530918 384/640:r32@121525#754826 "
+     "512/512:r0@121525#486204 640/384:r0@121525#378818 "
+     "640/384:r32@121525#660377 768/256:r0@121525#287472 "
+     "768/256:r32@121525#509429 896/128:r0@121525#175656 "
+     "896/128:r32@121525#336574; insts 6576056/5792152"},
+    {"Maxpool_Upsample",
+     "best 384/640:r32=114877; all 384/640:r32=114877 "
+     "512/512:r32=115376; abandoned 128/896:r0@115376#115852 "
+     "128/896:r32@115376#235024 256/768:r0@115376#192968 "
+     "256/768:r32@115376#371376 384/640:r0@115376#303370 "
+     "512/512:r0@115376#314290 640/384:r0@115376#254266 "
+     "640/384:r32@115376#436833 768/256:r0@115376#187738 "
+     "768/256:r32@115376#331300 896/128:r0@115376#113000 "
+     "896/128:r32@115376#210068; insts 4099301/3066085"},
+    {"Blake2B_Ethash",
+     "best 256/256:r0=904415; all 256/256:r0=904415; abandoned "
+     "256/256:r64@904415#2336354; insts 4143074/2336354"},
+    {"Blake256_Ethash",
+     "best 256/256:r0=331919; all 256/256:r0=331919; abandoned "
+     "256/256:r32@331919#1728954; insts 3953082/1728954"},
+    {"Ethash_SHA256",
+     "best 256/256:r0=325902; all 256/256:r0=325902; abandoned "
+     "256/256:r32@325902#1697447; insts 4026023/1697447"},
+    {"Blake256_Blake2B",
+     "best 256/256:r0=972096; all 256/256:r0=972096 256/256:r64=1741806; "
+     "abandoned; insts 9959424/0"},
+    {"Blake256_SHA256",
+     "best 256/256:r0=537576; all 256/256:r0=537576; abandoned "
+     "256/256:r32@537576#3189608; insts 7449704/3189608"},
+    {"Blake2B_SHA256",
+     "best 256/256:r0=989664; all 256/256:r0=989664 256/256:r64=1757064; "
+     "abandoned; insts 10178688/0"},
+  };
+  return Pins;
 }
 
 std::string caseName(const testing::TestParamInfo<BenchPair> &Info) {
@@ -133,6 +280,11 @@ TEST_P(SearchBudget, BitIdenticalBestAcrossBudgetModesAndJobs) {
               Bud.All.size() + Bud.Pruned.size() + Bud.Abandoned.size());
     EXPECT_EQ(Bud.Stats.Abandoned, Bud.Abandoned.size());
     EXPECT_LE(Bud.Stats.AbandonedInsts, Bud.Stats.SimulatedInsts);
+
+    // And the ledger is exactly the pinned one.
+    auto Pin = pinnedLedgers().find(caseName({P, 0}));
+    ASSERT_NE(Pin, pinnedLedgers().end());
+    EXPECT_EQ(pairLedger(Bud), Pin->second);
   }
 }
 
@@ -185,6 +337,33 @@ TEST_P(SearchBudget, TightBudgetAndMeasuredBoundPreserveBest) {
 
 INSTANTIATE_TEST_SUITE_P(AllPaperPairs, SearchBudget,
                          testing::ValuesIn(paperPairs()), caseName);
+
+TEST(SearchBudgetPins, CryptoTripleLedgerMatchesPin) {
+  // The N-way runner shares the gated seeding: its ledger is pinned the
+  // same way (scale 0.25, the hfusec --quick portfolio scale).
+  const std::string Pin =
+     "best 256/256/256:r0=667115; all 256/256/256:r0=667115; abandoned; "
+     "insts 4448256/0";
+  for (int Jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    NWayRunner::Options Opts;
+    Opts.Arch = makeGTX1080Ti();
+    Opts.SimSMs = 2;
+    Opts.Scale = 0.25;
+    Opts.Verify = false;
+    Opts.Cache = testCache();
+    Opts.Budget = SearchBudgetMode::Incumbent;
+    Opts.SearchJobs = Jobs;
+    NWayRunner R({BenchKernelId::Blake256, BenchKernelId::SHA256,
+                  BenchKernelId::Ethash},
+                 Opts);
+    ASSERT_TRUE(R.ok()) << R.error();
+    NWaySearchResult SR = R.searchBestConfig();
+    ASSERT_TRUE(SR.Ok) << SR.Error;
+    EXPECT_EQ(ledger(SR, [](const auto &C) { return dimsLabel(C.Dims); }),
+              Pin);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Determinism of the budgeted sweep across worker counts

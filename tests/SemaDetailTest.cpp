@@ -29,6 +29,14 @@ struct ConversionCase {
   const char *Expected;
 };
 
+/// Prints a case as its operand types. Without this, gtest prints the
+/// struct's raw bytes -- string-literal addresses that change with every
+/// process under ASLR -- and gtest_discover_tests bakes them into the
+/// ctest names, so no two builds would agree on what the cases are called.
+void PrintTo(const ConversionCase &C, std::ostream *OS) {
+  *OS << C.TypeA << " + " << C.TypeB;
+}
+
 class UsualConversions : public testing::TestWithParam<ConversionCase> {};
 
 TEST_P(UsualConversions, BinaryAddType) {

@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "profile/NWayRunner.h"
 #include "profile/PaperPairs.h"
 #include "service/SearchService.h"
 #include "support/FaultInjector.h"
@@ -123,6 +124,44 @@ template <typename PredT> bool waitFor(PredT Pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return Pred();
+}
+
+TEST(ServiceTest, DegenerateArchIsRejectedWithItsCause) {
+  // A default GpuArch has NumSMs = 0 and no memory bandwidth: every
+  // simulation would hit the cycle limit. Both runners refuse to
+  // construct, naming the field, and the service reports that cause.
+  PairRunner Pair(BenchKernelId::Hist, BenchKernelId::Maxpool,
+                  PairRunner::Options());
+  EXPECT_FALSE(Pair.ok());
+  EXPECT_EQ(Pair.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Pair.error().find("NumSMs"), std::string::npos) << Pair.error();
+
+  NWayRunner Triple({BenchKernelId::Blake256, BenchKernelId::SHA256,
+                     BenchKernelId::Ethash},
+                    NWayRunner::Options());
+  EXPECT_FALSE(Triple.ok());
+  EXPECT_EQ(Triple.status().code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Triple.error().find("NumSMs"), std::string::npos);
+
+  PairRunner::Options NoBandwidth = quickOptions();
+  NoBandwidth.Arch.BytesPerCycleDevice = 0;
+  PairRunner Starved(BenchKernelId::Hist, BenchKernelId::Maxpool,
+                     NoBandwidth);
+  EXPECT_FALSE(Starved.ok());
+  EXPECT_NE(Starved.error().find("BytesPerCycleDevice"), std::string::npos)
+      << Starved.error();
+
+  SearchService::Config SC;
+  SC.Workers = 1;
+  SearchService Svc(SC);
+  SearchRequest R;
+  R.A = BenchKernelId::Hist;
+  R.B = BenchKernelId::Maxpool;
+  Expected<SearchOutcome> Out = Svc.search(R);
+  ASSERT_TRUE(Out) << Out.status().message();
+  EXPECT_FALSE(Out->Search.Ok);
+  EXPECT_EQ(Out->Search.Err.code(), ErrorCode::InvalidArgument);
+  EXPECT_NE(Out->Search.Err.message().find("NumSMs"), std::string::npos);
 }
 
 } // namespace

@@ -287,3 +287,32 @@ TEST(StoreFaultTest, SchemaBumpQuarantinesOldRecordsAndRecomputes) {
   }
   EXPECT_GE(QuarantineFiles, Persisted);
 }
+
+TEST(StoreFaultTest, Version1RecordsAreQuarantined) {
+  // Schema 1 keyed simulation records by stats level; schema 2 dropped
+  // it. A store written by a schema-1 build must be quarantined whole
+  // on open, and the sweep must recompute to the same answer.
+  static_assert(kStoreSchemaVersion == 2);
+  TempDir D("schemav1");
+
+  auto OldCache = std::make_shared<CompileCache>();
+  {
+    auto Store = ResultStore::open(D.str(), /*SchemaVersion=*/1);
+    ASSERT_TRUE(Store);
+    OldCache->attachStore(Store);
+  }
+  SearchResult Old = runSweep(faultPair(), quickOptions(OldCache));
+  ASSERT_TRUE(Old.Ok) << Old.Error;
+  const uint64_t Persisted = OldCache->stats().DiskWrites;
+  ASSERT_GT(Persisted, 0u);
+
+  auto Cache = std::make_shared<CompileCache>();
+  auto Store = ResultStore::open(D.str(), kStoreSchemaVersion);
+  ASSERT_TRUE(Store);
+  EXPECT_GE(Store->stats().Quarantined, Persisted);
+  Cache->attachStore(Store);
+  SearchResult Got = runSweep(faultPair(), quickOptions(Cache));
+  ASSERT_TRUE(Got.Ok) << Got.Error;
+  expectBitIdentical(Got, Old);
+  EXPECT_EQ(Cache->stats().DiskHits, 0u);
+}
